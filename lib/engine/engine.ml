@@ -8,6 +8,8 @@ module Workload = Rsin_sim.Workload
 module Fault = Rsin_fault.Fault
 module Token_sim = Rsin_distributed.Token_sim
 module Solver = Rsin_flow.Solver
+module Csr = Rsin_flow.Csr
+module Netgraph = Rsin_core.Netgraph
 module Obs = Rsin_obs.Obs
 module Tr = Rsin_obs.Trace
 module Policy = Rsin_guard.Policy
@@ -339,6 +341,21 @@ type t = {
   tracing : bool;
   mutable events_seen : int;
   mutable served_upto : int;
+  (* Headroom-probe scratch, compiled on the first {!headroom} call so
+     an engine that is never asked to donate pays nothing for it. *)
+  mutable probe : probe option;
+}
+
+(* A private full-topology flow graph in CSR form; every probe rewrites
+   all of its capacities from the engine's state, so it carries nothing
+   over between probes. *)
+and probe = {
+  pcsr : Csr.t;
+  psource : int;
+  psink : int;
+  psp : int array;             (* processor -> s->p arc *)
+  prt : int array;             (* resource -> r->t arc *)
+  plinks : (int * int) array;  (* (arc, link) *)
 }
 
 let res_free t r = t.res_idle.(r) && Network.res_available t.net r
@@ -430,7 +447,8 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
       waits = Stats.accum (); max_wait = 0;
       tracing = Obs.tracing obs;
       events_seen = 0;
-      served_upto = min_int }
+      served_upto = min_int;
+      probe = None }
   in
   for r = 0 to nr - 1 do sync_res t r done;
   t
@@ -990,17 +1008,77 @@ let drain t =
 
 let served_upto t = t.served_upto
 
-let pending_procs t =
-  List.filter (fun p -> t.requesting.(p)) (List.init t.np Fun.id)
+let free_ports t =
+  let n = ref 0 in
+  for r = 0 to t.nr - 1 do
+    if res_free t r then incr n
+  done;
+  !n
 
-let free_resources t = List.filter (res_free t) (List.init t.nr Fun.id)
+let idle t p = t.transmitting.(p) = None && t.queues.(p) = []
 
-let idle_procs t =
-  List.filter
-    (fun p -> t.transmitting.(p) = None && t.queues.(p) = [])
-    (List.init t.np Fun.id)
+let probe_scratch t =
+  match t.probe with
+  | Some pr -> pr
+  | None ->
+    let ng = Netgraph.compile_full t.net in
+    let pr =
+      { pcsr = Netgraph.csr ng;
+        psource = Netgraph.source ng;
+        psink = Netgraph.sink ng;
+        psp = Array.init t.np (fun p -> Option.get (Netgraph.sp_arc ng p));
+        prt = Array.init t.nr (fun r -> Option.get (Netgraph.rt_arc ng r));
+        plinks = Netgraph.link_arcs ng }
+    in
+    t.probe <- Some pr;
+    pr
 
-let peek_network t = t.net
+let set_probe_arc c a cap =
+  Csr.set_flow c a 0;
+  Csr.set_capacity c a cap
+
+(* Transformation 1 over the idle processors and free ports, solved on
+   the probe's full-topology graph: an arc Transform1.build would omit
+   gets capacity 0 here, which changes neither the max-flow value nor
+   the residual-reachable source side, so the answer is the snapshot
+   graph's. *)
+let headroom t =
+  let lowest = ref (-1) in
+  for p = t.np - 1 downto 0 do
+    if idle t p then lowest := p
+  done;
+  if !lowest < 0 || free_ports t = 0 then None
+  else begin
+    let pr = probe_scratch t in
+    let c = pr.pcsr in
+    for p = 0 to t.np - 1 do
+      set_probe_arc c pr.psp.(p) (if idle t p then 1 else 0)
+    done;
+    for r = 0 to t.nr - 1 do
+      set_probe_arc c pr.prt.(r) (if res_free t r then 1 else 0)
+    done;
+    for i = 0 to Array.length pr.plinks - 1 do
+      let a, l = pr.plinks.(i) in
+      let up =
+        match Network.link_state t.net l with
+        | Network.Free -> Network.usable t.net l
+        | Network.Occupied _ -> false
+      in
+      set_probe_arc c a (if up then 1 else 0)
+    done;
+    let flow = Csr.dinic c ~source:pr.psource ~sink:pr.psink in
+    if flow = 0 then None
+    else begin
+      Csr.min_cut c ~source:pr.psource ~sink:pr.psink;
+      let fabric_limited = ref false in
+      for i = 0 to Array.length pr.plinks - 1 do
+        let a, _ = pr.plinks.(i) in
+        if Csr.original_capacity c a > 0 && Csr.crosses_cut c a then
+          fabric_limited := true
+      done;
+      Some (flow, !fabric_limited, !lowest)
+    end
+  end
 
 let report t =
   let left_pending =

@@ -260,19 +260,21 @@ val served_upto : t -> int
 (** Highest slot {!advance}/{!drain} has served, [min_int] before the
     first call. *)
 
-val pending_procs : t -> int list
-(** Processors with a pending (queued, not transmitting) request. *)
+val free_ports : t -> int
+(** Resource ports that are idle {e and} healthy right now. *)
 
-val free_resources : t -> int list
-(** Resource ports that are idle {e and} healthy. *)
+val headroom : t -> (int * bool * int) option
+(** The cross-shard borrow probe: [Some (h, fabric_limited, p)] when a
+    fresh Transformation 1 over the processors with no queued task and
+    no transmission in flight, and the free ports, would allocate
+    [h > 0] of them — [fabric_limited] when the binding minimum cut
+    runs through a network link, [p] the lowest such idle processor.
+    [None] when nothing could be allocated.
 
-val idle_procs : t -> int list
-(** Processors with no queued task and no transmission in flight — the
-    candidates a cross-shard borrow can re-target an arrival to. *)
-
-val peek_network : t -> Rsin_topology.Network.t
-(** The engine's private network copy, for read-only inspection
-    (borrowing headroom probes). Mutating it corrupts the run. *)
+    The answer depends only on state that {!advance} changes, never
+    {!feed}, so it is constant between two advances. The probe runs on
+    a private CSR graph compiled on the first call and reused after it
+    (no adjacency graph is built per call). *)
 
 val report : t -> report
 (** A snapshot of the run's accounting — pure, callable at any time;

@@ -1,6 +1,5 @@
 module Network = Rsin_topology.Network
 module Workload = Rsin_sim.Workload
-module Transform1 = Rsin_core.Transform1
 module Fault = Rsin_fault.Fault
 module Domain_pool = Rsin_util.Domain_pool
 module Clock = Rsin_util.Clock
@@ -65,6 +64,12 @@ type t = {
   (* Task id -> shard the arrival was fed to (home or donor). *)
   task_home : (int, int) Hashtbl.t;
   event_hook : (events:int -> time:int -> unit) option;
+  (* Per-shard probe memo, valid from one advance_all to the next
+     (None = not asked since): routing only feeds, and Engine.feed only
+     enqueues, so a shard's idle processors, free ports and network
+     stay fixed while a slot's events are routed. *)
+  headroom : (int * bool * int) option option array;
+  has_free : bool option array;
   start_ns : int64;
   mutable cur_slot : int;
   mutable buffer : Workload.trace_event list;  (* current slot, reversed *)
@@ -127,6 +132,8 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
           box_home;
           task_home = Hashtbl.create 256;
           event_hook;
+          headroom = Array.make (Array.length parts) None;
+          has_free = Array.make (Array.length parts) None;
           start_ns = Clock.now_ns ();
           cur_slot = min_int;
           buffer = [];
@@ -140,26 +147,25 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
 
 (* --- Borrowing ----------------------------------------------------------- *)
 
-(* Headroom of shard [s]: how many of its idle processors a fresh
-   max-flow could connect to its free ports right now, plus whether the
-   binding min cut runs through fabric links (a fabric-limited donor
-   would put borrowed load on contended wires). *)
-let probe_headroom t s =
-  let e = t.engines.(s) in
-  match (Engine.idle_procs e, Engine.free_resources e) with
-  | [], _ | _, [] -> None
-  | idle, free ->
-    let fg = Transform1.build (Engine.peek_network e) ~requests:idle ~free in
-    let outcome = Transform1.solve fg in
-    if outcome.Transform1.allocated = 0 then None
-    else
-      let fabric_limited =
-        List.exists
-          (function `Link _ -> true | `Proc _ | `Res _ -> false)
-          (Transform1.bottleneck fg)
-      in
-      let target = List.fold_left min (List.hd idle) idle in
-      Some (outcome.Transform1.allocated, fabric_limited, target)
+(* Headroom of shard [s] (Engine.headroom): how many of its idle
+   processors a fresh max-flow could connect to its free ports right
+   now, plus whether the binding min cut runs through fabric links (a
+   fabric-limited donor would put borrowed load on contended wires). *)
+let headroom t s =
+  match t.headroom.(s) with
+  | Some h -> h
+  | None ->
+    let h = Engine.headroom t.engines.(s) in
+    t.headroom.(s) <- Some h;
+    h
+
+let has_free t s =
+  match t.has_free.(s) with
+  | Some b -> b
+  | None ->
+    let b = Engine.free_ports t.engines.(s) > 0 in
+    t.has_free.(s) <- Some b;
+    b
 
 (* Largest headroom wins; ties prefer fabric-unlimited donors, then the
    lowest shard index. Returns the donor and its lowest idle (local)
@@ -169,7 +175,7 @@ let pick_donor t ~home =
   Array.iteri
     (fun s _ ->
       if s <> home then
-        match probe_headroom t s with
+        match headroom t s with
         | None -> ()
         | Some (headroom, fabric_limited, target) ->
           let better =
@@ -195,7 +201,7 @@ let route t ev =
       Engine.feed t.engines.(si) (Workload.Arrive { a with proc })
     in
     let feed_home () = feed_to home t.shard.Shard.local_proc.(a.proc) in
-    if Engine.free_resources t.engines.(home) <> [] then feed_home ()
+    if has_free t home then feed_home ()
     else begin
       match pick_donor t ~home with
       | Some (donor, target) ->
@@ -244,6 +250,8 @@ let flush t =
   | buffered ->
     let slot = t.cur_slot in
     advance_all t ~upto:(slot - 1);
+    Array.fill t.headroom 0 (Array.length t.headroom) None;
+    Array.fill t.has_free 0 (Array.length t.has_free) None;
     let evs = List.rev buffered in
     t.buffer <- [];
     List.iter (route t) evs;

@@ -30,17 +30,17 @@
 
     When an arrival's home shard has no free resource port, the router
     tries to re-target it to a {e donor} shard instead of letting it
-    queue: every other shard with idle processors and free resources is
-    probed with a from-scratch {!Rsin_core.Transform1} max-flow on its
-    private network (requests = its idle processors, free = its free
-    ports), and the probe's min-cut members ({!Rsin_core.Transform1.bottleneck},
-    via [Netgraph.cut_members]) classify the donor: a cut containing
-    [`Link]s means the donor is fabric-limited and extra load would hit
-    contended wires. The donor with the largest headroom wins, ties
-    preferring fabric-unlimited donors, then the lowest shard index;
-    the arrival is re-issued at the donor's lowest idle processor. If
-    no shard has headroom the arrival stays home (and is counted as
-    starved). Everything is deterministic, so borrowing does not
+    queue: every other shard is asked for its {!Engine.headroom} — the
+    Transformation-1 max flow from its idle processors to its free
+    ports, and whether the binding min cut runs through links, in which
+    case the donor is fabric-limited and extra load would hit contended
+    wires. Probes are memoized per shard from one parallel advance to
+    the next: feeding only enqueues, so no shard's answer can change
+    while a slot's events are routed. The donor with the largest
+    headroom wins, ties preferring fabric-unlimited donors, then the
+    lowest shard index; the arrival is re-issued at the donor's lowest
+    idle processor. If no shard has headroom the arrival stays home
+    (and is counted as starved). Everything is deterministic, so borrowing does not
     perturb the domains=1 vs domains=N equivalence. *)
 
 type report = {

@@ -319,6 +319,24 @@ let dinic t ~source ~sink =
   reset_stats t;
   dinic_phases t ~source ~sink 0
 
+(* Minimum cut: the source side is the residual-reachable set, which
+   is exactly the level BFS, so it lands in [level] (>= 0 = reached). *)
+let min_cut t ~source ~sink =
+  if source = sink then invalid_arg "Csr.min_cut: source = sink";
+  build_levels t ~source;
+  if t.level.(sink) >= 0 then
+    invalid_arg "Csr.min_cut: flow is not maximum (call dinic first)"
+
+let on_source_side t v =
+  if v < 0 || v >= t.n then invalid_arg "Csr.on_source_side: bad node";
+  t.level.(v) >= 0
+
+let crosses_cut t a =
+  check_arc t a;
+  check_forward "Csr.crosses_cut" a;
+  let j = t.pos.(a) in
+  t.level.(t.tail.(j)) >= 0 && t.level.(t.head.(j)) < 0
+
 (* ------------------------------------------------------------------ *)
 (* Min-cost successive shortest paths with potentials.                 *)
 

@@ -99,6 +99,29 @@ val last_stats : t -> stats
     [t] and overwritten by the next run — copy fields out, do not
     retain it. *)
 
+(** {1 Minimum cut — zero allocation} *)
+
+val min_cut : t -> source:int -> sink:int -> unit
+(** Computes the source side of the minimum cut: the nodes reachable
+    from [source] in the residual network — the CSR counterpart of
+    {!Edmonds_karp.min_cut}. Every maximum flow yields the same side.
+    The result lives in the level scratch and is read with
+    {!on_source_side} and {!crosses_cut} until the next solver or
+    [min_cut] call.
+
+    Precondition: the arrays hold a {e maximum} flow. The same BFS
+    checks it: [Invalid_argument] if [sink] is still reachable. *)
+
+val on_source_side : t -> int -> bool
+(** After {!min_cut}: whether the node is residual-reachable. *)
+
+val crosses_cut : t -> Graph.arc -> bool
+(** After {!min_cut}: whether the forward arc runs from the source side
+    to the sink side — a member of the cut {!Edmonds_karp.min_cut}
+    reports for the same flow. Zero-capacity arcs can cross too; a
+    caller that wants the arcs a snapshot graph would contain filters
+    on {!original_capacity}. *)
+
 (** {1 Warm-cycle bulk operations — zero allocation} *)
 
 val commit_new : t -> source:int -> int

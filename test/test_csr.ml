@@ -9,6 +9,7 @@
 module Graph = Rsin_flow.Graph
 module Csr = Rsin_flow.Csr
 module Solver = Rsin_flow.Solver
+module Edmonds_karp = Rsin_flow.Edmonds_karp
 module Network = Rsin_topology.Network
 module Builders = Rsin_topology.Builders
 module Netgraph = Rsin_core.Netgraph
@@ -531,6 +532,151 @@ let test_commit_release_cycle () =
   let again = Csr.dinic c ~source ~sink in
   check Alcotest.int "released capacity re-routes identically" f again
 
+(* --- Minimum cut: CSR residual reachability vs Edmonds_karp.min_cut ------ *)
+
+(* Residual reachability on the adjacency graph, computed independently
+   of both min-cut routines. *)
+let graph_source_side g ~source =
+  let seen = Array.make (Graph.node_count g) false in
+  let rec visit v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      Graph.iter_out g v (fun a ->
+          if Graph.capacity g a > 0 then visit (Graph.dst g a))
+    end
+  in
+  visit source;
+  seen
+
+(* Solve [g] on a fresh CSR snapshot, cut it, mirror the flow back with
+   write_flows and compare against Edmonds_karp.min_cut on the mirror:
+   the same source side, the same cut arcs, and (max-flow/min-cut) the
+   positive-capacity cut arcs summing to the flow value. Returns the
+   snapshot for further checks. *)
+let cut_agrees what g ~source ~sink =
+  let c = Csr.of_graph g in
+  let flow = Csr.dinic c ~source ~sink in
+  Csr.min_cut c ~source ~sink;
+  Csr.write_flows c g;
+  let side = graph_source_side g ~source in
+  Array.iteri
+    (fun v want ->
+      if Csr.on_source_side c v <> want then
+        QCheck.Test.fail_reportf "%s: node %d source side: csr %b, graph %b"
+          what v (Csr.on_source_side c v) want)
+    side;
+  let csr_cut = ref [] in
+  Graph.iter_forward_arcs g (fun a ->
+      if Csr.crosses_cut c a then csr_cut := a :: !csr_cut);
+  let csr_cut = List.rev !csr_cut in
+  let ek_cut = Edmonds_karp.min_cut g ~source ~sink in
+  let positive = List.filter (fun a -> Graph.original_capacity g a > 0) in
+  if positive csr_cut <> positive ek_cut || csr_cut <> ek_cut then
+    QCheck.Test.fail_reportf "%s: cut arcs differ (%d csr, %d edmonds-karp)"
+      what (List.length csr_cut) (List.length ek_cut);
+  let capacity =
+    List.fold_left (fun acc a -> acc + Graph.original_capacity g a) 0 csr_cut
+  in
+  if capacity <> flow then
+    QCheck.Test.fail_reportf "%s: cut capacity %d <> max flow %d" what capacity
+      flow;
+  c
+
+let test_min_cut_random =
+  qtest "Csr.min_cut = Edmonds_karp.min_cut on random graphs" ~count:300
+    QCheck.small_int (fun seed ->
+      let g = random_graph (Prng.create seed) in
+      Graph.reset_flows g;
+      let sink = Graph.node_count g - 1 in
+      ignore (cut_agrees (Printf.sprintf "seed %d" seed) g ~source:0 ~sink);
+      true)
+
+(* compile_full with the scenario's requests and free ports switched on:
+   besides agreeing with Edmonds_karp, the positive-capacity cut must
+   name the members Transform1's snapshot graph reports as its
+   bottleneck — the zero-capacity arcs are exactly the ones
+   Transform1.build omits. *)
+let test_min_cut_netgraph =
+  qtest "Csr.min_cut on compile_full = Transform1 bottleneck" ~count:60
+    QCheck.small_int (fun seed ->
+      List.for_all
+        (fun ((name, _) as topo) ->
+          let _rng, net, requests, free = scenario seed topo in
+          let ng = Netgraph.compile_full net in
+          let g = Netgraph.graph ng in
+          let switch_on arc i = Graph.set_capacity g (Option.get (arc ng i)) 1 in
+          List.iter (switch_on Netgraph.sp_arc) requests;
+          List.iter (switch_on Netgraph.rt_arc) free;
+          let what = Printf.sprintf "%s seed %d" name seed in
+          let c =
+            cut_agrees what g ~source:(Netgraph.source ng)
+              ~sink:(Netgraph.sink ng)
+          in
+          let cut = ref [] in
+          Graph.iter_forward_arcs g (fun a ->
+              if Csr.original_capacity c a > 0 && Csr.crosses_cut c a then
+                cut := a :: !cut);
+          let tr = T1.build net ~requests ~free in
+          ignore (T1.solve tr);
+          if
+            List.sort compare (Netgraph.cut_members ng !cut)
+            <> List.sort compare (T1.bottleneck tr)
+          then QCheck.Test.fail_reportf "%s: cut members differ" what;
+          true)
+        topologies)
+
+let test_min_cut_rejects_non_maximum () =
+  let g = Graph.create () in
+  let s = Graph.add_node g and t = Graph.add_node g in
+  ignore (Graph.add_arc g ~src:s ~dst:t ~cap:1);
+  let c = Csr.of_graph g in
+  check Alcotest.bool "zero flow is not maximum" true
+    (try
+       Csr.min_cut c ~source:s ~sink:t;
+       false
+     with Invalid_argument m ->
+       m = "Csr.min_cut: flow is not maximum (call dinic first)");
+  ignore (Csr.dinic c ~source:s ~sink:t);
+  Csr.min_cut c ~source:s ~sink:t;
+  check Alcotest.bool "cut after the solve" true (Csr.crosses_cut c 0)
+
+(* E34's calibrated probe: two back-to-back Gc.minor_words readings
+   measure the reading's own boxing, so the cut and a full scan of its
+   arcs must net exactly 0 words. *)
+let count_crossing c arcs =
+  let n = ref 0 in
+  for i = 0 to arcs - 1 do
+    if Csr.crosses_cut c (2 * i) then incr n
+  done;
+  !n
+
+let test_min_cut_zero_alloc () =
+  let ng = Netgraph.compile_full (Builders.omega 1024) in
+  let c = Netgraph.csr ng in
+  let net = Netgraph.network ng in
+  for p = 0 to Network.n_procs net - 1 do
+    if p mod 3 <> 0 then
+      Csr.set_capacity c (Option.get (Netgraph.sp_arc ng p)) 1
+  done;
+  for r = 0 to Network.n_res net - 1 do
+    if r mod 2 = 0 then Csr.set_capacity c (Option.get (Netgraph.rt_arc ng r)) 1
+  done;
+  let source = Netgraph.source ng and sink = Netgraph.sink ng in
+  let flow = Csr.dinic c ~source ~sink in
+  let arcs = Csr.arc_count c in
+  Csr.min_cut c ~source ~sink;
+  let warm = count_crossing c arcs in
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  let overhead = b -. a in
+  Csr.min_cut c ~source ~sink;
+  let crossing = count_crossing c arcs in
+  let d = Gc.minor_words () in
+  check Alcotest.int "same cut twice" warm crossing;
+  check Alcotest.bool "cut is nonempty" true (flow > 0 && crossing > 0);
+  check (Alcotest.float 0.) "min_cut allocates 0 minor words" 0.
+    (d -. b -. overhead)
+
 let suite =
   [
     test_of_graph_invariants;
@@ -550,4 +696,10 @@ let suite =
       `Slow test_engine_csr_priority_differential;
     Alcotest.test_case "commit_new/release_all round-trip" `Quick
       test_commit_release_cycle;
+    test_min_cut_random;
+    test_min_cut_netgraph;
+    Alcotest.test_case "min_cut rejects a non-maximum flow" `Quick
+      test_min_cut_rejects_non_maximum;
+    Alcotest.test_case "min_cut allocates nothing" `Quick
+      test_min_cut_zero_alloc;
   ]
