@@ -27,7 +27,7 @@ module Network = Rsin_topology.Network
    residual capacity in either direction; switched-off arcs carry
    cap 0). Under Maxflow that makes warm cycles allocate exactly as many
    requests as from-scratch Transformation 1; under Mincost the
-   successive-shortest-path augment maximizes allocation first and then
+   min-cost augment maximizes allocation first and then
    total served priority — the same optimum Transformation 2's bypass
    costs select, because every extraction freezes the new flow, so each
    cycle starts from zero unfrozen flow. The differential tests pin both
@@ -273,6 +273,7 @@ let solve ?obs t =
         let _added = Csr.mincost c ~source:(source t) ~sink:(sink t) in
         let s = Csr.last_stats c in
         Obs.count obs "flow.mincost_csr.runs" 1;
+        Obs.count obs "flow.mincost_csr.phases" s.Csr.passes;
         Obs.count obs "flow.mincost_csr.augmentations" s.Csr.augmentations;
         Obs.count obs "flow.mincost_csr.arcs_scanned" s.Csr.arcs_scanned;
         s.Csr.arcs_scanned

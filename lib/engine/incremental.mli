@@ -18,7 +18,7 @@
     {!Maxflow} warm cycles therefore allocate exactly as many requests
     as {!Rsin_core.Transform1.schedule}; under {!Mincost} — where each
     pending request's source arc costs minus its priority — the
-    successive-shortest-path augment maximizes the allocation count
+    min-cost augment maximizes the allocation count
     first and then the total served priority, which is the optimum
     {!Rsin_core.Transform2}'s bypass costs select. The differential
     tests in [test/test_engine.ml] assert both, cycle by cycle. *)

@@ -35,10 +35,11 @@ type t = {
   queue : int array;      (* n: BFS ring (each node enqueued at most once) *)
   cur : int array;        (* n: current-arc cursor into the row slice *)
   stack : int array;      (* n: DFS path, CSR arc per depth *)
-  (* min-cost SSP scratch *)
+  mutable admissible_only : bool;
+    (* level walks also require zero reduced cost (min-cost phases) *)
+  (* min-cost primal-dual scratch *)
   pot : int array;        (* n: node potentials *)
   dist : int array;       (* n *)
-  pred : int array;       (* n: CSR arc into the node, -1 if unreached *)
   final : bool array;     (* n *)
   hk : int array;         (* binary heap: keys (tentative distances) *)
   hv : int array;         (* binary heap: values (nodes) *)
@@ -96,9 +97,9 @@ let of_graph g =
     queue = Array.make na 0;
     cur = Array.make na 0;
     stack = Array.make na 0;
+    admissible_only = false;
     pot = Array.make na 0;
     dist = Array.make na 0;
-    pred = Array.make na (-1);
     final = Array.make na false;
     hk = Array.make (m + na + 1) 0;
     hv = Array.make (m + na + 1) 0;
@@ -210,11 +211,19 @@ let reset_stats t =
 (* ------------------------------------------------------------------ *)
 (* Dinic: layered BFS + current-arc blocking flow, all on the arrays.  *)
 
+(* The extra test the min-cost phases put on a residual arc [j] out of
+   [v]: zero reduced cost. Callers evaluate it last, after the capacity
+   and level tests, so plain Dinic pays one flag read per arc that
+   already qualified. *)
+let[@inline] admissible t v j =
+  (not t.admissible_only)
+  || t.cst.(j) + t.pot.(v) - t.pot.(t.head.(j)) = 0
+
 let rec bfs_row t v stop qt j =
   if j >= stop then qt
   else begin
     let w = t.head.(j) in
-    if t.cap.(j) > 0 && t.level.(w) < 0 then begin
+    if t.cap.(j) > 0 && t.level.(w) < 0 && admissible t v j then begin
       t.level.(w) <- t.level.(v) + 1;
       t.queue.(qt) <- w;
       bfs_row t v stop (qt + 1) (j + 1)
@@ -245,7 +254,9 @@ let rec advance t v stop j =
   end
   else begin
     t.stats.arcs_scanned <- t.stats.arcs_scanned + 1;
-    if t.cap.(j) > 0 && t.level.(t.head.(j)) = t.level.(v) + 1 then begin
+    if t.cap.(j) > 0 && t.level.(t.head.(j)) = t.level.(v) + 1
+       && admissible t v j
+    then begin
       t.cur.(v) <- j;
       j
     end
@@ -304,25 +315,30 @@ let rec block t ~source ~sink v top acc =
     end
   end
 
-let rec dinic_phases t ~source ~sink total =
+(* Blocking flows over successive level graphs until [sink] drops out
+   of reach. Each one is a Dinic pass; under [admissible_only] the
+   passes belong to one min-cost phase, which counts itself. *)
+let rec blocking_flows t ~source ~sink total =
   build_levels t ~source;
   if t.level.(sink) < 0 then total
   else begin
-    t.stats.passes <- t.stats.passes + 1;
+    if not t.admissible_only then t.stats.passes <- t.stats.passes + 1;
     Array.blit t.row_ptr 0 t.cur 0 t.n;
     let added = block t ~source ~sink source 0 0 in
-    if added > 0 then dinic_phases t ~source ~sink (total + added) else total
+    if added > 0 then blocking_flows t ~source ~sink (total + added) else total
   end
 
 let dinic t ~source ~sink =
   if source = sink then invalid_arg "Csr.dinic: source = sink";
   reset_stats t;
-  dinic_phases t ~source ~sink 0
+  t.admissible_only <- false;
+  blocking_flows t ~source ~sink 0
 
 (* Minimum cut: the source side is the residual-reachable set, which
    is exactly the level BFS, so it lands in [level] (>= 0 = reached). *)
 let min_cut t ~source ~sink =
   if source = sink then invalid_arg "Csr.min_cut: source = sink";
+  t.admissible_only <- false;
   build_levels t ~source;
   if t.level.(sink) >= 0 then
     invalid_arg "Csr.min_cut: flow is not maximum (call dinic first)"
@@ -338,12 +354,13 @@ let crosses_cut t a =
   t.level.(t.tail.(j)) >= 0 && t.level.(t.head.(j)) < 0
 
 (* ------------------------------------------------------------------ *)
-(* Min-cost successive shortest paths with potentials.                 *)
+(* Min-cost flow by primal-dual phases: Dijkstra on reduced costs, then *)
+(* Dinic blocking flows over the zero-reduced-cost arcs.                *)
 
-let rec has_negative_loop t i =
+let rec has_negative_cost t i =
   if i >= t.pairs then false
   else if t.cst.(t.pos.(2 * i)) < 0 then true
-  else has_negative_loop t (i + 1)
+  else has_negative_cost t (i + 1)
 
 let rec bellman_relax t j changed =
   if j >= t.m then changed
@@ -357,8 +374,11 @@ let rec bellman_relax t j changed =
     else bellman_relax t (j + 1) changed
   end
 
+(* Whether the distances settle within [k] rounds. Shortest paths have
+   at most n-1 arcs, so a relaxation in round n means a negative cycle
+   is reachable from the source. *)
 let rec bellman_rounds t k =
-  if k > 0 && bellman_relax t 0 false then bellman_rounds t (k - 1)
+  (not (bellman_relax t 0 false)) || (k > 1 && bellman_rounds t (k - 1))
 
 (* Seed potentials with shortest distances over the residual graph so
    every reduced cost Dijkstra sees is non-negative (unreached nodes
@@ -366,7 +386,8 @@ let rec bellman_rounds t k =
 let bellman_seed t ~source =
   Array.fill t.dist 0 t.n inf;
   t.dist.(source) <- 0;
-  bellman_rounds t t.n;
+  if not (bellman_rounds t t.n) then
+    failwith "Csr.mincost: negative cycle in input network";
   for v = 0 to t.n - 1 do
     t.pot.(v) <- (if t.dist.(v) >= inf then 0 else t.dist.(v))
   done
@@ -426,7 +447,6 @@ let rec dij_row t v stop j =
          let nd = t.dist.(v) + t.cst.(j) + t.pot.(v) - t.pot.(w) in
          if nd < t.dist.(w) then begin
            t.dist.(w) <- nd;
-           t.pred.(w) <- j;
            heap_push t nd w
          end
        end
@@ -447,52 +467,38 @@ let rec dij_loop t =
 
 let dijkstra t ~source =
   Array.fill t.dist 0 t.n inf;
-  Array.fill t.pred 0 t.n (-1);
   Array.fill t.final 0 t.n false;
   t.hsize <- 0;
   t.dist.(source) <- 0;
   heap_push t 0 source;
   dij_loop t
 
-let rec walk_min t ~source v acc =
-  if v = source then acc
-  else
-    let j = t.pred.(v) in
-    let c = t.cap.(j) in
-    walk_min t ~source t.tail.(j) (if c < acc then c else acc)
-
-let rec walk_push t ~source v k =
-  if v <> source then begin
-    let j = t.pred.(v) in
-    t.cap.(j) <- t.cap.(j) - k;
-    let r = t.rev.(j) in
-    t.cap.(r) <- t.cap.(r) + k;
-    walk_push t ~source t.tail.(j) k
-  end
-
 let update_potentials t =
   for v = 0 to t.n - 1 do
     if t.dist.(v) < inf then t.pot.(v) <- t.pot.(v) + t.dist.(v)
   done
 
-let rec ssp_rounds t ~source ~sink total =
+(* One phase per shortest-path length. After the update every shortest
+   source-sink path runs on zero-reduced-cost arcs, and augmenting them
+   only opens reverse arcs of reduced cost zero, so the blocking flows
+   saturate all paths of this length while every reduced cost stays
+   non-negative; the next Dijkstra then finds a strictly longer one. *)
+let rec phases t ~source ~sink total =
   dijkstra t ~source;
   if t.dist.(sink) >= inf then total
   else begin
     update_potentials t;
-    let k = walk_min t ~source sink max_int in
-    walk_push t ~source sink k;
     t.stats.passes <- t.stats.passes + 1;
-    t.stats.augmentations <- t.stats.augmentations + 1;
-    ssp_rounds t ~source ~sink (total + k)
+    phases t ~source ~sink (blocking_flows t ~source ~sink total)
   end
 
 let mincost t ~source ~sink =
   if source = sink then invalid_arg "Csr.mincost: source = sink";
   reset_stats t;
-  if has_negative_loop t 0 then bellman_seed t ~source
+  if has_negative_cost t 0 then bellman_seed t ~source
   else Array.fill t.pot 0 t.n 0;
-  ssp_rounds t ~source ~sink 0
+  t.admissible_only <- true;
+  phases t ~source ~sink 0
 
 (* ------------------------------------------------------------------ *)
 (* Warm-cycle bulk operations.                                         *)

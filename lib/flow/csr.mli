@@ -17,8 +17,8 @@
       potentials/distances/heap — preallocated at {!of_graph} time.
 
     The two production solvers ({!dinic} for Transformation 1 /
-    [Maxflow], {!mincost} successive-shortest-paths for Transformation 2
-    / [Priority]) run on this layout with {b zero minor-heap
+    [Maxflow], {!mincost} primal-dual for Transformation 2 /
+    [Priority]) run on this layout with {b zero minor-heap
     allocation}: no closures, no options, no tuples, no refs on any
     per-cycle path. A warm scheduling cycle — capacity toggles,
     augment, {!commit_new}, eventually {!release_all} — therefore
@@ -36,9 +36,11 @@
 type t
 
 type stats = {
-  mutable passes : int;        (** Dinic phases / SSP rounds of the last run *)
-  mutable augmentations : int; (** flow units pushed (Dinic) / paths (SSP) *)
-  mutable arcs_scanned : int;  (** residual arcs examined *)
+  mutable passes : int;
+      (** {!dinic}: blocking flows; {!mincost}: Dijkstra phases that
+          reached the sink *)
+  mutable augmentations : int;  (** flow units pushed, for both solvers *)
+  mutable arcs_scanned : int;   (** residual arcs examined *)
 }
 
 val of_graph : Graph.t -> t
@@ -88,11 +90,20 @@ val dinic : t -> source:int -> sink:int -> int
 (** Layered-network blocking flow (Dinic) with current-arc cursors. *)
 
 val mincost : t -> source:int -> sink:int -> int
-(** Successive shortest paths with potentials (Dijkstra on reduced
-    costs; one Bellman–Ford seed pass when negative costs are present).
-    The resulting maximum flow is cost-minimal among maximum flows given
-    a cost-feasible starting state — the same contract as
-    {!Mincost.augment}. *)
+(** Primal-dual min-cost flow: each phase runs one Dijkstra on reduced
+    costs, folds the distances into the node potentials, then augments
+    {e every} shortest path of that length at once with Dinic blocking
+    flows restricted to zero-reduced-cost residual arcs. One
+    Bellman–Ford pass seeds the potentials when negative costs are
+    present. The resulting maximum flow is cost-minimal among maximum
+    flows given a cost-feasible starting state — the same contract as
+    {!Mincost.augment}. The number of phases is the number of distinct
+    shortest-path lengths met, so on the engine's graphs (costs only on
+    source arcs) it is at most the number of distinct pending
+    priorities.
+
+    @raise Failure if the residual network holds a negative cycle
+    reachable from [source], as {!Mincost.min_cost_flow} does. *)
 
 val last_stats : t -> stats
 (** Work counters of the most recent solver run. The record is owned by

@@ -120,6 +120,7 @@ module Mincost_csr_s : S = struct
     Csr.write_flows c g;
     let s = Csr.last_stats c in
     Rsin_obs.Obs.count obs "flow.mincost_csr.runs" 1;
+    Rsin_obs.Obs.count obs "flow.mincost_csr.phases" s.Csr.passes;
     Rsin_obs.Obs.count obs "flow.mincost_csr.augmentations" s.Csr.augmentations;
     Rsin_obs.Obs.count obs "flow.mincost_csr.arcs_scanned" s.Csr.arcs_scanned;
     ( f,

@@ -9,6 +9,7 @@
 module Graph = Rsin_flow.Graph
 module Csr = Rsin_flow.Csr
 module Solver = Rsin_flow.Solver
+module Mincost = Rsin_flow.Mincost
 module Edmonds_karp = Rsin_flow.Edmonds_karp
 module Network = Rsin_topology.Network
 module Builders = Rsin_topology.Builders
@@ -254,9 +255,123 @@ let test_mincost_csr_differential =
           true)
         topologies)
 
+(* Beyond Transformation 2's unit capacities: random graphs with
+   capacities 1-3 and costs -3..5. Costs are drawn as a non-negative
+   slack plus a potential difference, so every cycle costs its total
+   slack and none is negative. *)
+let random_costed_graph rng =
+  let g = Graph.create () in
+  let n = 2 + Prng.int rng 8 in
+  ignore (Graph.add_nodes g n);
+  let pi = Array.init n (fun _ -> Prng.int rng 4) in
+  for _ = 1 to 1 + Prng.int rng 24 do
+    let s = Prng.int rng n in
+    let d = (s + 1 + Prng.int rng (n - 1)) mod n in
+    ignore
+      (Graph.add_arc g ~src:s ~dst:d ~cap:(1 + Prng.int rng 3)
+         ~cost:(Prng.int rng 3 + pi.(d) - pi.(s)))
+  done;
+  g
+
+let test_mincost_csr_general_graphs =
+  qtest "Csr.mincost = Mincost.min_cost_flow on general graphs" ~count:300
+    QCheck.small_int (fun seed ->
+      let rng = Prng.create seed in
+      let g = random_costed_graph rng in
+      let source = 0 and sink = Graph.node_count g - 1 in
+      let c = Csr.of_graph g in
+      let added = Csr.mincost c ~source ~sink in
+      let reference = Mincost.min_cost_flow g ~source ~sink ~amount:max_int in
+      let cost = Csr.total_cost c in
+      if (added, cost) <> (reference.Mincost.flow, reference.Mincost.cost) then
+        QCheck.Test.fail_reportf "seed %d: Mincost (%d, %d), Csr (%d, %d)" seed
+          reference.Mincost.flow reference.Mincost.cost added cost;
+      if (Csr.last_stats c).Csr.augmentations <> added then
+        QCheck.Test.fail_reportf "seed %d: augmentations <> flow units" seed;
+      Csr.check_conservation c ~source ~sink = Ok ())
+
+(* The mirror of test_flow's negative-cycle test through the registry. *)
+let test_mincost_csr_negative_cycle () =
+  let g = Graph.create () in
+  let s = Graph.add_node g and a = Graph.add_node g and b = Graph.add_node g
+  and t = Graph.add_node g in
+  ignore (Graph.add_arc g ~src:s ~dst:a ~cap:1 ~cost:0);
+  ignore (Graph.add_arc g ~src:a ~dst:b ~cap:1 ~cost:(-5));
+  ignore (Graph.add_arc g ~src:b ~dst:a ~cap:1 ~cost:2);
+  ignore (Graph.add_arc g ~src:b ~dst:t ~cap:1 ~cost:0);
+  let module S = (val Solver.get "mincost-csr" : Solver.S) in
+  Alcotest.check_raises "negative cycle"
+    (Failure "Csr.mincost: negative cycle in input network") (fun () ->
+      ignore (S.max_flow g ~source:s ~sink:t))
+
+(* Phase bound on the engine's graphs: costs sit only on s->p arcs, so
+   every residual s-t path costs minus the priority of its processor and
+   each Dijkstra phase retires one pending priority level. A warm churn
+   of enables, solves, commits and periodic release-all must never need
+   more phases than there are distinct costs on pending s->p arcs; one
+   Dijkstra per flow unit would break the bound within a round. *)
+let test_mincost_phase_bound () =
+  let solves = ref 0 in
+  List.iter
+    (fun (name, build) ->
+      let ng = Netgraph.compile_full (build ()) in
+      let c = Netgraph.csr ng in
+      let net = Netgraph.network ng in
+      let source = Netgraph.source ng and sink = Netgraph.sink ng in
+      let sp =
+        Array.init (Network.n_procs net) (fun p ->
+            Option.get (Netgraph.sp_arc ng p))
+      and rt =
+        Array.init (Network.n_res net) (fun r ->
+            Option.get (Netgraph.rt_arc ng r))
+      in
+      let rng = Prng.create (Hashtbl.hash name) in
+      for round = 1 to 40 do
+        Array.iter
+          (fun a ->
+            if not (Csr.is_frozen c a) then
+              if Prng.float rng 1.0 < 0.6 then begin
+                Csr.set_capacity c a 1;
+                Csr.set_cost c a (-(1 + Prng.int rng 4))
+              end
+              else begin
+                Csr.set_capacity c a 0;
+                Csr.set_cost c a 0
+              end)
+          sp;
+        Array.iter
+          (fun a ->
+            if not (Csr.is_frozen c a) then
+              Csr.set_capacity c a (if Prng.float rng 1.0 < 0.5 then 1 else 0))
+          rt;
+        let levels =
+          Array.to_list sp
+          |> List.filter (fun a ->
+                 Csr.original_capacity c a > 0 && not (Csr.is_frozen c a))
+          |> List.map (Csr.cost c)
+          |> List.sort_uniq compare |> List.length
+        in
+        let before = Csr.flow_value c ~source in
+        let added = Csr.mincost c ~source ~sink in
+        let s = Csr.last_stats c in
+        let what = Printf.sprintf "%s round %d" name round in
+        incr solves;
+        if s.Csr.passes > levels then
+          Alcotest.failf "%s: %d phases for %d priority levels" what
+            s.Csr.passes levels;
+        check Alcotest.int (what ^ ": augmentations = flow added") added
+          s.Csr.augmentations;
+        check Alcotest.int (what ^ ": flow added") added
+          (Csr.flow_value c ~source - before);
+        ignore (Csr.commit_new c ~source);
+        if round mod 4 = 0 then Csr.release_all c
+      done)
+    (("omega64", fun () -> Builders.omega 64) :: topologies);
+  check Alcotest.bool "every topology churned" true (!solves >= 300)
+
 (* Work records populated consistently: the CSR pair reports the same
-   kind of numbers as the originals (same augmentation totals — Dinic
-   counts flow units, SSP counts rounds — and nonzero scan work). *)
+   kind of numbers as the originals (both count flow units as
+   augmentations, and scan work is nonzero). *)
 let test_work_record_consistency () =
   let _rng, net, requests, free = scenario ~faults:false 5 (List.hd topologies) in
   let tr = T1.build net ~requests ~free in
@@ -271,7 +386,27 @@ let test_work_record_consistency () =
   check Alcotest.bool "phases populated" true (w1.Solver.passes >= 1);
   check Alcotest.bool "arcs scanned populated" true (w1.Solver.arcs_scanned > 0);
   check Alcotest.int "dinic counts the same augmentations" f0
-    w0.Solver.augmentations
+    w0.Solver.augmentations;
+  (* mincost-csr: passes are Dijkstra phases, augmentations flow units,
+     and the registry counters carry both. *)
+  let obs = Rsin_obs.Obs.recording () in
+  let module MC = (val Solver.get "mincost-csr" : Solver.S) in
+  let tr =
+    T2.build net
+      ~requests:(List.map (fun p -> (p, 1 + (p mod 3))) requests)
+      ~free:(List.map (fun r -> (r, 0)) free)
+  in
+  let f2, w2 =
+    MC.max_flow ~obs (Graph.copy (T2.graph tr)) ~source:(T2.source tr)
+      ~sink:(T2.sink tr)
+  in
+  let counter = Rsin_obs.Metrics.get_counter obs.Rsin_obs.Obs.metrics in
+  check Alcotest.int "mincost-csr augmentations count flow units" f2
+    w2.Solver.augmentations;
+  check Alcotest.int "phases counter" w2.Solver.passes
+    (counter "flow.mincost_csr.phases");
+  check Alcotest.int "augmentations counter" f2
+    (counter "flow.mincost_csr.augmentations")
 
 (* --- Warm churn: Incremental's Csr backend vs Adjacency ------------------- *)
 
@@ -686,6 +821,11 @@ let suite =
     Alcotest.test_case "Netgraph CSR emission" `Quick test_netgraph_emission;
     test_dinic_csr_differential;
     test_mincost_csr_differential;
+    test_mincost_csr_general_graphs;
+    Alcotest.test_case "mincost-csr rejects a negative cycle" `Quick
+      test_mincost_csr_negative_cycle;
+    Alcotest.test_case "Csr.mincost phases bounded by priority levels" `Quick
+      test_mincost_phase_bound;
     Alcotest.test_case "work records populated consistently" `Quick
       test_work_record_consistency;
     Alcotest.test_case "warm churn: Csr backend = Adjacency backend" `Slow
