@@ -191,11 +191,9 @@ let solver_arg =
         ~doc:
           (Printf.sprintf
              "Max-flow solver for the optimal (flow-based) scheduling paths: \
-              %s. Schedulers that do not run a flow solver ignore it. The \
-              warm engine's incremental augmentation is part of its \
-              definition, but $(b,dinic-csr) and $(b,mincost-csr) select \
-              where it runs: warm cycles then execute on the flat \
-              zero-allocation CSR core instead of the adjacency graph."
+              %s. Schedulers that do not run a flow solver ignore it, and \
+              so does the warm engine, which always augments on the flat \
+              zero-allocation CSR core."
              (String.concat ", "
                 (List.map (fun n -> Printf.sprintf "$(b,%s)" n) names))))
 

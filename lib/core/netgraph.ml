@@ -150,8 +150,8 @@ let graph t = t.graph
 (* CSR emission: both compilers add every node and arc before the result
    escapes, so the structure is final by the time anyone can ask — the
    snapshot is taken once and then owns all scheduling state (the mirror
-   Graph goes stale; Incremental's Csr backend routes every state access
-   through the snapshot, and uses the Graph only structurally). Arc
+   Graph goes stale; Incremental routes every state access through the
+   snapshot, and uses the Graph only structurally). Arc
    indices are shared between the two representations, so sp/rt/link_arcs
    address either one. *)
 let csr t =

@@ -65,8 +65,8 @@ val csr : t -> Rsin_flow.Csr.t
     link↔arc correspondence below applies to the CSR form unchanged.
     The snapshot does not track later mutations of {!graph} (nor vice
     versa): a caller that takes the CSR form owns all scheduling state
-    from then on — this is how {!Rsin_engine.Incremental}'s [Csr]
-    backend serves warm cycles without touching the mutable graph. *)
+    from then on — this is how {!Rsin_engine.Incremental} serves warm
+    cycles without touching the mutable graph. *)
 
 val source : t -> Rsin_flow.Graph.node
 val sink : t -> Rsin_flow.Graph.node

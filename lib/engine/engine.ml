@@ -402,17 +402,7 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
         | Uniform -> Incremental.Maxflow
         | Priority -> Incremental.Mincost
       in
-      (* The solver registry names select the graph representation here:
-         the -csr pair runs the warm loop on the flat zero-allocation
-         core. Other registry solvers have no warm entry point — the
-         warm augment is inherently Dinic/SSP-shaped — so they keep the
-         default adjacency backend, as before. *)
-      let backend =
-        match config.Config.solver with
-        | "dinic-csr" | "mincost-csr" -> Incremental.Csr
-        | _ -> Incremental.Adjacency
-      in
-      Some (Incremental.create ~discipline:d ~backend net)
+      Some (Incremental.create ~discipline:d net)
     | Rebuild | Token -> None
   in
   let solver_mod =
@@ -1498,11 +1488,21 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
       let links = jgetil lj "links" in
       let net_id, inc_circuit =
         if released then (-1, None)
-        else
-          ( Network.establish t.net links,
+        else begin
+          (* establish checks the links chain from some processor to
+             some resource; they must be this entry's own. *)
+          let net_id = Network.establish t.net links in
+          if Network.link_src t.net (List.hd links) <> Network.Proc lproc
+             || Network.link_dst t.net (List.nth links (List.length links - 1))
+                <> Network.Res lres
+          then
+            rfail "checkpoint: live circuit %d does not run from processor %d \
+                   to resource %d" li lproc lres;
+          ( net_id,
             Option.map
               (fun i -> Incremental.restore_circuit i ~proc:lproc ~res:lres ~links)
               t.inc )
+        end
       in
       Hashtbl.replace t.lives li
         { net_id; lproc; lres; task_id; committed_at = jgeti lj "committed_at";

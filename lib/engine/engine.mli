@@ -21,7 +21,7 @@
     unique even though mappings are not).
 
     Everything a run depends on besides the network and the trace — the
-    strategy, the discipline, the solver/backend, batching, fault
+    strategy, the discipline, the from-scratch solver, batching, fault
     injection and the heartbeat period — lives in one validated
     {!Config.t} record. The same record is the per-shard configuration
     {!Serve} ships to each domain of the sharded engine. *)
@@ -51,9 +51,9 @@ type discipline =
       (** each cycle serves a maximum number of requests and, among
           those, maximizes the total priority of the queue heads served
           — Transformation 2 (min-cost flow) per cycle. [Warm] runs it
-          as {!Rsin_flow.Mincost.augment} over the persistent graph with
-          priorities on the source-arc costs; [Rebuild] as a
-          from-scratch {!Rsin_core.Transform2.schedule}. *)
+          as the primal-dual {!Rsin_flow.Csr.mincost} over the
+          persistent graph with priorities on the source-arc costs;
+          [Rebuild] as a from-scratch {!Rsin_core.Transform2.schedule}. *)
 
 val discipline_name : discipline -> string
 val discipline_of_name : string -> (discipline, string) result
@@ -82,11 +82,9 @@ module Config : sig
     discipline : discipline;
     solver : string;
         (** a {!Rsin_flow.Solver} registry name. Picks the from-scratch
-            solver of a [Rebuild]+[Uniform] cycle; for [Warm] the
-            ["dinic-csr"]/["mincost-csr"] names switch the persistent
-            graph to the flat zero-allocation {!Rsin_flow.Csr} backend
-            ({!Incremental.Csr}), any other name keeps the adjacency
-            backend. *)
+            solver of a [Rebuild]+[Uniform] cycle. [Warm] ignores it:
+            the persistent graph always runs on the flat
+            zero-allocation {!Rsin_flow.Csr} core. *)
     transmission_time : int;  (** slots a circuit stays established, >= 1 *)
     batch_threshold : int;
         (** minimum pending requests (and free resources, capped by the
@@ -333,8 +331,10 @@ val restore :
   (t, string) result
 (** Rebuilds an engine from {!snapshot} output over a pristine (all-up,
     no circuits) instance of the {e same} topology the snapshot was
-    taken on — name and dimensions are checked. Hooks and observer are
-    re-attached fresh (they are not part of the state). *)
+    taken on — name and dimensions are checked, and so is every live
+    circuit: its links must chain from its own processor to its own
+    resource. Hooks and observer are re-attached fresh (they are not
+    part of the state). *)
 
 (** {1 One-shot runs} *)
 

@@ -1,7 +1,5 @@
 module Graph = Rsin_flow.Graph
 module Csr = Rsin_flow.Csr
-module Dinic = Rsin_flow.Dinic
-module Mincost = Rsin_flow.Mincost
 module Obs = Rsin_obs.Obs
 module Netgraph = Rsin_core.Netgraph
 module Network = Rsin_topology.Network
@@ -21,7 +19,11 @@ module Network = Rsin_topology.Network
    Circuits that survive from earlier cycles therefore constitute a
    feasible flow of the current network, and a scheduling cycle is one
    warm augment call on the residual graph — never a rebuild:
-   Dinic.augment under Maxflow, Mincost.augment under Mincost. The
+   Csr.dinic under Maxflow, Csr.mincost under Mincost. All of that state
+   lives in the flat Netgraph.csr snapshot; the compiled Graph is only
+   walked structurally during extraction (arc indices are shared and the
+   topology never changes after compile_full, so its structure cannot go
+   stale — its capacities and flows do, and are never read). The
    residual graph reachable from s is isomorphic to the from-scratch
    transformation graph of the same snapshot (frozen arcs contribute no
    residual capacity in either direction; switched-off arcs carry
@@ -35,15 +37,9 @@ module Network = Rsin_topology.Network
 
 type discipline = Maxflow | Mincost
 
-(* Which representation holds the scheduling state. [Adjacency] is the
-   original mutable Graph; [Csr] routes every state access (capacity,
-   cost, flow, freeze/thaw) through the flat Netgraph.csr snapshot and
-   solves with the zero-allocation Csr.dinic / Csr.mincost cores, so a
-   warm cycle performs no minor-heap allocation inside the solver. The
-   Graph is still used *structurally* (adjacency iteration during
-   extraction) — the two representations share arc indices and the
-   topology never changes after compile_full, only capacities do. *)
-type backend = Adjacency | Csr
+(* Source compatibility only: CSR is the one warm representation, so
+   [backend] has a single value and [create] ignores it. *)
+type backend = Csr
 
 type circuit = {
   proc : int;
@@ -55,66 +51,17 @@ type circuit = {
 type t = {
   ng : Netgraph.t;
   discipline : discipline;
-  csr : Csr.t option;                  (* Some iff backend = Csr *)
-  frozen : bool array;                 (* per forward arc index a/2 *)
+  csr : Csr.t;                         (* owns all scheduling state *)
   mutable dirty : bool;
   mutable pending_ops : int;           (* capacity updates since last solve *)
   mutable total_work : int;            (* cumulative: updates + arcs scanned *)
 }
 
-let create ?(discipline = Maxflow) ?(backend = Adjacency) net =
+let create ?(discipline = Maxflow) ?backend:(_ : backend option) net =
   let ng = Netgraph.compile_full net in
-  let csr = match backend with Adjacency -> None | Csr -> Some (Netgraph.csr ng) in
-  { ng; discipline; csr;
-    frozen = Array.make (Graph.arc_count (Netgraph.graph ng)) false;
+  { ng; discipline; csr = Netgraph.csr ng;
     dirty = false; pending_ops = 0; total_work = 0 }
 
-let backend t = match t.csr with None -> Adjacency | Some _ -> Csr
-
-(* State dispatch: every capacity/cost/flow read or write goes through
-   exactly one of the two representations. *)
-let b_original_capacity t a =
-  match t.csr with
-  | None -> Graph.original_capacity (Netgraph.graph t.ng) a
-  | Some c -> Csr.original_capacity c a
-
-let b_flow t a =
-  match t.csr with
-  | None -> Graph.flow (Netgraph.graph t.ng) a
-  | Some c -> Csr.flow c a
-
-let b_cost t a =
-  match t.csr with
-  | None -> Graph.cost (Netgraph.graph t.ng) a
-  | Some c -> Csr.cost c a
-
-let b_set_capacity t a cap =
-  match t.csr with
-  | None -> Graph.set_capacity (Netgraph.graph t.ng) a cap
-  | Some c -> Csr.set_capacity c a cap
-
-let b_set_cost t a cost =
-  match t.csr with
-  | None -> Graph.set_cost (Netgraph.graph t.ng) a cost
-  | Some c -> Csr.set_cost c a cost
-
-let b_set_flow t a f =
-  match t.csr with
-  | None -> Graph.set_flow (Netgraph.graph t.ng) a f
-  | Some c -> Csr.set_flow c a f
-
-let b_freeze t a =
-  match t.csr with
-  | None -> Graph.freeze (Netgraph.graph t.ng) a
-  | Some c -> Csr.freeze c a
-
-let b_thaw t a =
-  match t.csr with
-  | None -> Graph.thaw (Netgraph.graph t.ng) a
-  | Some c -> Csr.thaw c a
-
-let graph t = Netgraph.graph t.ng
-let netgraph t = t.ng
 let discipline t = t.discipline
 let dirty t = t.dirty
 let total_work t = t.total_work
@@ -142,8 +89,8 @@ let touch ?(enables = false) t =
 
 let set_switch t a on =
   let cap = if on then 1 else 0 in
-  if b_original_capacity t a <> cap then begin
-    b_set_capacity t a cap;
+  if Csr.original_capacity t.csr a <> cap then begin
+    Csr.set_capacity t.csr a cap;
     touch t ~enables:on
   end
 
@@ -155,8 +102,8 @@ let set_requesting t ?(priority = 0) p on =
   | Mincost ->
     (* Serving a high-priority request is a cheap path: cost -y_p. *)
     let cost = if on then -priority else 0 in
-    if b_cost t a <> cost then begin
-      b_set_cost t a cost;
+    if Csr.cost t.csr a <> cost then begin
+      Csr.set_cost t.csr a cost;
       touch t
     end);
   set_switch t a on
@@ -167,25 +114,26 @@ let set_link_usable t l on =
   match Netgraph.arc_of_link t.ng l with
   | None -> invalid_arg "Incremental.set_link_usable: bad link"
   | Some a ->
-    if t.frozen.(a / 2) then
+    if Csr.is_frozen t.csr a then
       invalid_arg
         "Incremental.set_link_usable: link carries a committed circuit \
          (release it first)";
     set_switch t a on
-let requesting t p = b_original_capacity t (sp_arc t p) = 1
-let resource_free t r = b_original_capacity t (rt_arc t r) = 1
+let requesting t p = Csr.original_capacity t.csr (sp_arc t p) = 1
+let resource_free t r = Csr.original_capacity t.csr (rt_arc t r) = 1
 
 (* Decompose only the flow added by the last augmentation: walk from the
    source along unfrozen forward arcs with undecomposed flow. Frozen
    flow belongs to complete committed s-t paths, so the unfrozen flow is
    itself a conserved integral flow and the greedy walk cannot strand. *)
 let extract_new t =
-  let g = graph t in
+  let g = Netgraph.graph t.ng in
   let sink = sink t in
   let remaining = Array.make (Graph.arc_count g) 0 in
   let total = ref 0 in
   Graph.iter_forward_arcs g (fun a ->
-      if not t.frozen.(a / 2) then remaining.(a / 2) <- b_flow t a);
+      if not (Csr.is_frozen t.csr a) then
+        remaining.(a / 2) <- Csr.flow t.csr a);
   let np = Network.n_procs (Netgraph.network t.ng) in
   for p = 0 to np - 1 do
     let a = sp_arc t p in
@@ -231,11 +179,7 @@ let extract_new t =
       let links =
         List.filter_map (fun a -> Netgraph.link_of_arc t.ng a) arcs
       in
-      List.iter
-        (fun a ->
-          b_freeze t a;
-          t.frozen.(a / 2) <- true)
-        arcs;
+      List.iter (fun a -> Csr.freeze t.csr a) arcs;
       { proc; res; links; arcs })
 
 type solve_result = {
@@ -250,28 +194,18 @@ let solve ?obs t =
   if not t.dirty then { circuits = []; work = updates; skipped = true }
   else begin
     let scanned =
-      match (t.csr, t.discipline) with
-      | None, Maxflow ->
-        let _added, (st : Dinic.stats) =
-          Dinic.augment ?obs (graph t) ~source:(source t) ~sink:(sink t)
-        in
-        st.arcs_scanned
-      | None, Mincost ->
-        let r =
-          Mincost.augment ?obs (graph t) ~source:(source t) ~sink:(sink t)
-        in
-        r.stats.arcs_scanned
-      | Some c, Maxflow ->
-        let _added = Csr.dinic c ~source:(source t) ~sink:(sink t) in
-        let s = Csr.last_stats c in
+      match t.discipline with
+      | Maxflow ->
+        let _added = Csr.dinic t.csr ~source:(source t) ~sink:(sink t) in
+        let s = Csr.last_stats t.csr in
         Obs.count obs "flow.dinic_csr.runs" 1;
         Obs.count obs "flow.dinic_csr.phases" s.Csr.passes;
         Obs.count obs "flow.dinic_csr.augmentations" s.Csr.augmentations;
         Obs.count obs "flow.dinic_csr.arcs_scanned" s.Csr.arcs_scanned;
         s.Csr.arcs_scanned
-      | Some c, Mincost ->
-        let _added = Csr.mincost c ~source:(source t) ~sink:(sink t) in
-        let s = Csr.last_stats c in
+      | Mincost ->
+        let _added = Csr.mincost t.csr ~source:(source t) ~sink:(sink t) in
+        let s = Csr.last_stats t.csr in
         Obs.count obs "flow.mincost_csr.runs" 1;
         Obs.count obs "flow.mincost_csr.phases" s.Csr.passes;
         Obs.count obs "flow.mincost_csr.augmentations" s.Csr.augmentations;
@@ -287,19 +221,18 @@ let solve ?obs t =
 let release t (c : circuit) =
   List.iter
     (fun a ->
-      if not t.frozen.(a / 2) then
+      if not (Csr.is_frozen t.csr a) then
         invalid_arg "Incremental.release: circuit not committed";
-      t.frozen.(a / 2) <- false;
-      b_thaw t a;
-      b_set_flow t a 0;
+      Csr.thaw t.csr a;
+      Csr.set_flow t.csr a 0;
       t.pending_ops <- t.pending_ops + 1;
       t.total_work <- t.total_work + 1)
     c.arcs;
   (* The request was served and the resource enters service: switch both
      endpoint arcs off until the engine re-enables them. *)
-  b_set_capacity t (sp_arc t c.proc) 0;
-  if t.discipline = Mincost then b_set_cost t (sp_arc t c.proc) 0;
-  b_set_capacity t (rt_arc t c.res) 0;
+  Csr.set_capacity t.csr (sp_arc t c.proc) 0;
+  if t.discipline = Mincost then Csr.set_cost t.csr (sp_arc t c.proc) 0;
+  Csr.set_capacity t.csr (rt_arc t c.res) 0;
   (* Freed links may unblock a request that was proved unroutable. *)
   t.dirty <- true
 
@@ -322,12 +255,11 @@ let restore_circuit t ~proc ~res ~links =
   let arcs = (sp_arc t proc :: List.map arc_of_link links) @ [ rt_arc t res ] in
   List.iter
     (fun a ->
-      if t.frozen.(a / 2) then
+      if Csr.is_frozen t.csr a then
         invalid_arg "Incremental.restore_circuit: arc already frozen";
-      b_set_capacity t a 1;
-      b_set_flow t a 1;
-      b_freeze t a;
-      t.frozen.(a / 2) <- true)
+      Csr.set_capacity t.csr a 1;
+      Csr.set_flow t.csr a 1;
+      Csr.freeze t.csr a)
     arcs;
   { proc; res; links; arcs }
 
@@ -338,7 +270,4 @@ let restore_flags t ~dirty ~pending_ops ~total_work =
   t.pending_ops <- pending_ops;
   t.total_work <- total_work
 
-let check t =
-  match t.csr with
-  | None -> Graph.check_conservation (graph t) ~source:(source t) ~sink:(sink t)
-  | Some c -> Csr.check_conservation c ~source:(source t) ~sink:(sink t)
+let check t = Csr.check_conservation t.csr ~source:(source t) ~sink:(sink t)

@@ -5,10 +5,14 @@
     {!Rsin_core.Netgraph.compile_full}; request arrivals, resource state
     changes and circuit releases are O(1) capacity (and, under
     {!Mincost}, cost) updates, and a scheduling cycle is one warm
-    augment call over the residual graph — {!Rsin_flow.Dinic.augment}
-    under {!Maxflow}, {!Rsin_flow.Mincost.augment} under {!Mincost}.
+    augment call over the residual graph — {!Rsin_flow.Csr.dinic}
+    under {!Maxflow}, {!Rsin_flow.Csr.mincost} under {!Mincost}.
+    All scheduling state lives in one representation, the flat
+    zero-allocation {!Rsin_core.Netgraph.csr} emission of the compiled
+    graph: every update is an O(1) int-array write and the solver
+    performs no minor-heap allocation.
     Circuits committed in earlier cycles stay in the graph as {e frozen}
-    feasible flow ({!Rsin_flow.Graph.freeze}), so each cycle only pays
+    feasible flow ({!Rsin_flow.Csr.freeze}), so each cycle only pays
     for the incremental augmentation — and a cycle in which no capacity
     was added since the last solve is skipped outright, because neither
     removed capacity nor a cost update can create an augmenting path.
@@ -30,20 +34,9 @@ type discipline =
   | Mincost   (** Transformation 2 with priorities: among maximum
                   allocations, maximize the total served priority *)
 
-type backend =
-  | Adjacency
-      (** the original mutable {!Rsin_flow.Graph}, solved by the
-          allocating {!Rsin_flow.Dinic.augment} /
-          {!Rsin_flow.Mincost.augment} warm entries *)
-  | Csr
-      (** the flat {!Rsin_flow.Csr} emission of the same graph
-          ({!Rsin_core.Netgraph.csr}): every capacity/cost/flow update
-          and every solve runs on preallocated int arrays, so a warm
-          scheduling cycle performs zero minor-heap allocation inside
-          the solver. Faults, arrivals and releases remain O(1) array
-          writes. Allocation results are identical to [Adjacency] —
-          the differential tests in [test/test_csr.ml] pin this cycle
-          by cycle. *)
+type backend = Csr
+(** Source compatibility only: CSR is the one warm representation, so
+    this type has a single value and {!create} ignores [?backend]. *)
 
 type circuit = {
   proc : int;
@@ -65,9 +58,8 @@ val create :
 (** Builds the full-topology flow graph from the network's current link
     state (occupied links start with capacity 0). All request and
     resource arcs start switched off. The network is only read during
-    compilation, never mutated. Defaults: {!Maxflow}, {!Adjacency}. *)
-
-val backend : t -> backend
+    compilation, never mutated. Default discipline: {!Maxflow};
+    [backend] is ignored (see {!backend}). *)
 
 val set_requesting : t -> ?priority:int -> int -> bool -> unit
 (** [set_requesting t ?priority p on] switches processor [p]'s source
@@ -135,11 +127,6 @@ val restore_circuit : t -> proc:int -> res:int -> links:int list -> circuit
 
 val restore_flags : t -> dirty:bool -> pending_ops:int -> total_work:int -> unit
 (** Reinstates the solver bookkeeping serialized in a checkpoint. *)
-
-val graph : t -> Rsin_flow.Graph.t
-
-val netgraph : t -> Rsin_core.Netgraph.t
-(** The underlying compiled correspondence (tests and diagnostics). *)
 
 val check : t -> (unit, string) result
 (** Flow-conservation check of the persistent graph (tests). *)

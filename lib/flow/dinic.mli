@@ -59,6 +59,8 @@ val augment :
     the incremental work. [Graph.reset_flows] followed by {!augment} is
     the cold path; installing a surviving feasible flow (e.g. with
     {!Graph.set_flow} / {!Graph.freeze}) and calling {!augment} is the
-    warm path used by the online allocation engine — correct because a
-    feasible flow plus a maximal residual augmentation is a maximum
-    flow, regardless of how the initial flow was obtained. *)
+    warm path — correct because a feasible flow plus a maximal residual
+    augmentation is a maximum flow, regardless of how the initial flow
+    was obtained. The online engine runs the same warm path on
+    {!Csr.dinic}; this adjacency entry stays as its reference
+    (E34's old-core column, [test/test_flow.ml]). *)

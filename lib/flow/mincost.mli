@@ -45,5 +45,7 @@ val augment :
     only the increment in [flow]. Potentials are resumed from the
     residual graph (one Bellman–Ford pass when negative reduced costs are
     present, then Dijkstra rounds), so serving a cycle on a warm graph
-    costs only the searches for the {e new} units — the basis of the
-    priority-discipline warm-started engine. *)
+    costs only the searches for the {e new} units. The priority-discipline
+    engine runs the same warm contract on {!Csr.mincost}; this entry
+    stays as its adjacency reference ([test/test_flow2.ml],
+    [bench/csr_bench.ml]). *)

@@ -2,9 +2,9 @@
    Graph: structural invariants of the emission (check_rev_pairing),
    state-accessor agreement under random mutation, and the differential
    guarantees of the registry solvers (dinic-csr/mincost-csr) and of the
-   warm engine's Csr backend — identical max-flow value and total served
-   priority on every topology family, including degraded (fault-masked)
-   networks and hundreds of warm churn cycles. *)
+   warm engine, which runs on Csr alone — identical max-flow value and
+   total served priority on every topology family, including degraded
+   (fault-masked) networks and hundreds of warm churn cycles. *)
 
 module Graph = Rsin_flow.Graph
 module Csr = Rsin_flow.Csr
@@ -408,22 +408,17 @@ let test_work_record_consistency () =
   check Alcotest.int "augmentations counter" f2
     (counter "flow.mincost_csr.augmentations")
 
-(* --- Warm churn: Incremental's Csr backend vs Adjacency ------------------- *)
+(* --- Warm churn: Incremental on CSR vs from-scratch T1/T2 ----------------- *)
 
 (* Drive one Incremental engine through a random warm churn sequence —
    enables, solves, staggered partial releases — and compare every solve
    against a from-scratch transformation of the same snapshot, mirrored
    on a reference network where the committed circuits are established
-   for real. Both backends run the identical sequence, each checked
-   against its own reference: tie-broken mappings may diverge between
-   backends (leaving different circuits frozen), so their states are not
-   directly comparable, but each must stay optimal — allocation count
-   and, under Mincost, total served priority — for its own snapshot,
-   cycle by cycle. *)
-let churn_backend discipline backend net seed rounds =
-  let eng = Incremental.create ~discipline ~backend net in
-  check Alcotest.bool "backend recorded" true
-    (Incremental.backend eng = backend);
+   for real: each solve must stay optimal — allocation count and, under
+   Mincost, total served priority — for its own snapshot, cycle by
+   cycle. *)
+let churn discipline net seed rounds =
+  let eng = Incremental.create ~discipline net in
   let refnet = Network.copy net in
   let np = Network.n_procs net and nr = Network.n_res net in
   let rng = Prng.create seed in
@@ -510,30 +505,22 @@ let churn_backend discipline backend net seed rounds =
   done;
   !cycles
 
-let test_warm_churn_backends () =
-  let csr_cycles = ref 0 in
+let test_warm_churn () =
+  let cycles = ref 0 in
   List.iter
     (fun (_, build) ->
       List.iter
         (fun (discipline, seed) ->
-          (* The Csr backend is the subject; a short Adjacency run keeps
-             the harness itself honest. *)
-          csr_cycles :=
-            !csr_cycles
-            + churn_backend discipline Incremental.Csr (build ()) seed 60;
-          ignore
-            (churn_backend discipline Incremental.Adjacency (build ())
-               (seed + 100) 15))
+          cycles := !cycles + churn discipline (build ()) seed 60)
         [ (Incremental.Maxflow, 21); (Incremental.Mincost, 22) ])
     [ List.nth topologies 0; List.nth topologies 2; List.nth topologies 3 ];
-  check Alcotest.bool "at least 300 warm churn cycles on the Csr backend" true
-    (!csr_cycles >= 300)
+  check Alcotest.bool "at least 300 warm churn cycles" true (!cycles >= 300)
 
 (* --- Engine-level: --solver dinic-csr under fault churn ------------------- *)
 
-(* The full engine differential of PR 2/PR 4, with the warm loop running
-   on the Csr backend (selected through the registry solver name):
-   every entered cycle must allocate exactly what a from-scratch
+(* The full engine differential under faults, cancels and deadlines,
+   with the solver named as a CLI caller would (warm runs ignore the
+   name): every entered cycle must allocate exactly what a from-scratch
    Scheduler run on the same degraded pre-commit snapshot allocates. *)
 let test_engine_csr_differential () =
   let total_cycles = ref 0 in
@@ -635,6 +622,46 @@ let test_engine_csr_priority_differential () =
     [ List.nth topologies 0; List.nth topologies 2 ];
   check Alcotest.bool "at least 150 priority differential cycles" true
     (!total_cycles >= 150)
+
+(* Warm runs have one representation, so the registry name only picks
+   Rebuild's from-scratch solver: every name must give the same report
+   and the same cycle-by-cycle trajectory, uniform under faults and
+   priority alike. *)
+let test_warm_ignores_solver () =
+  let net = Builders.omega 16 in
+  let base =
+    Workload.synthesize ~deadline_slack:25 ~cancel_prob:0.1 ~priority_levels:4
+      (Prng.create 5) net ~slots:120 ~arrival_prob:0.4
+  in
+  let sched = Fault.inject (Prng.create 6) net ~horizon:120 ~mtbf:40. ~mttr:12. in
+  let faulty =
+    List.stable_sort
+      (fun a b -> compare (Workload.event_time a) (Workload.event_time b))
+      (base @ Workload.fault_events sched)
+  in
+  let run discipline trace solver =
+    let cycles = ref [] in
+    let hook _ (info : Engine.cycle_info) = cycles := info :: !cycles in
+    let config =
+      Engine.Config.v ~discipline ~solver ~transmission_time:2 ~max_defer:8 ()
+    in
+    let report = Engine.run ~config ~cycle_hook:hook net trace in
+    (report, List.rev !cycles)
+  in
+  List.iter
+    (fun (what, discipline, trace) ->
+      let report, cycles = run discipline trace "dinic" in
+      check Alcotest.bool (what ^ ": cycles entered") true (List.length cycles > 50);
+      List.iter
+        (fun name ->
+          let r, c = run discipline trace name in
+          check Alcotest.bool (Printf.sprintf "%s: %s report" what name) true
+            (r = report);
+          check Alcotest.bool (Printf.sprintf "%s: %s cycles" what name) true
+            (c = cycles))
+        (Solver.names ()))
+    [ ("uniform with faults", Engine.Uniform, faulty);
+      ("priority", Engine.Priority, base) ]
 
 (* --- Warm-cycle bulk operations ------------------------------------------- *)
 
@@ -828,8 +855,10 @@ let suite =
       test_mincost_phase_bound;
     Alcotest.test_case "work records populated consistently" `Quick
       test_work_record_consistency;
-    Alcotest.test_case "warm churn: Csr backend = Adjacency backend" `Slow
-      test_warm_churn_backends;
+    Alcotest.test_case "warm churn: Csr = from-scratch T1/T2" `Slow
+      test_warm_churn;
+    Alcotest.test_case "warm runs ignore Config.solver" `Quick
+      test_warm_ignores_solver;
     Alcotest.test_case "engine differential via --solver dinic-csr" `Slow
       test_engine_csr_differential;
     Alcotest.test_case "engine priority differential via --solver mincost-csr"

@@ -325,8 +325,44 @@ let test_restore_rejects_garbage () =
   (* A snapshot of one topology must not restore onto another. *)
   let e = Engine.create (Builders.omega 8) in
   let j = Engine.snapshot e in
-  match Engine.restore net j with
+  (match Engine.restore net j with
   | Ok _ -> Alcotest.fail "wrong topology accepted"
+  | Error _ -> ());
+  (* A live circuit whose processor disagrees with its own first link
+     would freeze flow that breaks conservation. *)
+  let e =
+    Engine.create ~config:(Engine.Config.v ~transmission_time:8 ())
+      (Builders.omega 8)
+  in
+  List.iter (Engine.feed e)
+    [ Workload.Arrive
+        { t = 0; id = 0; proc = 1; service = 8; deadline = None;
+          priority = 0 } ];
+  Engine.advance e ~upto:0;
+  let moved = ref false in
+  let move_live = function
+    | Json.Obj fields when not !moved && List.mem_assoc "li" fields ->
+      moved := true;
+      Json.Obj
+        (List.map
+           (function "proc", _ -> ("proc", Json.Num 4.) | kv -> kv)
+           fields)
+    | lj -> lj
+  in
+  let j =
+    match Engine.snapshot e with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "lives", Json.Arr l -> ("lives", Json.Arr (List.map move_live l))
+             | kv -> kv)
+           fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  check Alcotest.bool "a live circuit was moved" true !moved;
+  match Engine.restore (Builders.omega 8) j with
+  | Ok _ -> Alcotest.fail "live circuit on the wrong processor accepted"
   | Error _ -> ()
 
 let test_serve_checkpoint_differential () =

@@ -586,12 +586,12 @@ let headroom_arb =
   QCheck.make
     ~print:(fun (topo, seed, mode) ->
       Printf.sprintf "topo=%d seed=%d mode=%d" topo seed mode)
-    QCheck.Gen.(triple (int_range 0 3) (int_range 0 10_000) (int_range 0 2))
+    QCheck.Gen.(triple (int_range 0 3) (int_range 0 10_000) (int_range 0 1))
 
 (* Random shard states: arrivals with deadlines and cancels, link, box
    and resource faults and repairs, flap quarantines through the guard,
-   circuits still transmitting (transmission time 3), on the warm CSR,
-   warm adjacency and rebuild engines. Every few slots the probe must
+   circuits still transmitting (transmission time 3), on the warm and
+   rebuild engines. Every few slots the probe must
    equal the from-scratch reference, and on a restored copy any mix of
    next-slot arrivals, cancels, faults and repairs fed before an
    advance must leave it unchanged — the invariant Serve's per-flush
@@ -627,8 +627,7 @@ let headroom_run (topo, seed, mode) =
       Some (Policy.v ~flap_k:2 ~flap_window:30 ~quarantine_slots:10 ())
     in
     match mode with
-    | 0 -> Engine.Config.v ~solver:"dinic-csr" ~transmission_time:3 ~guard ()
-    | 1 -> Engine.Config.v ~transmission_time:3 ~guard ()
+    | 0 -> Engine.Config.v ~transmission_time:3 ~guard ()
     | _ -> Engine.Config.v ~mode:Engine.Rebuild ~transmission_time:3 ~guard ()
   in
   let e = Engine.create ~config base in
@@ -697,7 +696,7 @@ let test_headroom_coverage () =
         let p', l' = headroom_run case in
         (p + p', l + l'))
       (0, 0)
-      (List.init 12 (fun i -> (i mod 4, i, i mod 3)))
+      (List.init 12 (fun i -> (i mod 4, i, i / 4 mod 2)))
   in
   check Alcotest.bool "some probe found headroom" true (probes > 0);
   check Alcotest.bool "some probe was fabric-limited" true (limited > 0);
