@@ -20,20 +20,13 @@ type mode = Warm | Rebuild | Token
 
 let mode_name = function Warm -> "warm" | Rebuild -> "rebuild" | Token -> "token"
 
-let mode_of_name = function
-  | "warm" -> Ok Warm
-  | "rebuild" -> Ok Rebuild
-  | "token" -> Ok Token
-  | s -> Error (Printf.sprintf "unknown mode %S (warm|rebuild|token)" s)
+let modes = [ ("warm", Warm); ("rebuild", Rebuild); ("token", Token) ]
 
 type discipline = Uniform | Priority
 
 let discipline_name = function Uniform -> "uniform" | Priority -> "priority"
 
-let discipline_of_name = function
-  | "uniform" -> Ok Uniform
-  | "priority" -> Ok Priority
-  | s -> Error (Printf.sprintf "unknown discipline %S (uniform|priority)" s)
+let disciplines = [ ("uniform", Uniform); ("priority", Priority) ]
 
 module Config = struct
   type fault_plan = {
@@ -134,66 +127,39 @@ module Config = struct
           match t.guard with None -> Json.Null | Some g -> Policy.to_json g )
       ]
 
-  let ( let* ) = Result.bind
-
-  (* Every field is optional in the document (missing = default), but a
-     present field of the wrong shape is an error, not a silent default:
-     a config that decodes must mean what it says. *)
+  (* Every field is optional in the document (missing or null = default),
+     but a present field of the wrong shape is an error, not a silent
+     default: a config that decodes must mean what it says. *)
   let of_json j =
-    let field name conv ~default =
-      match Json.member name j with
-      | None | Some Json.Null -> Ok default
-      | Some v -> (
-        match conv v with
-        | Some x -> Ok x
-        | None -> Error (Printf.sprintf "Engine.Config: bad field %S" name))
+    let open Json.Decode in
+    let opt k d default =
+      let+ v = field_opt k d j in
+      Option.value v ~default
     in
-    match Json.to_obj j with
-    | None -> Error "Engine.Config: expected a JSON object"
-    | Some _ ->
-      let* mode =
-        let* s = field "mode" Json.to_str ~default:"warm" in
-        mode_of_name s
+    let fault_plan fj =
+      let* mtbf = field "mtbf" num fj in
+      let* mttr = field "mttr" num fj in
+      let+ granularity =
+        field_opt "granularity" (enum [ ("slot", `Slot); ("clock", `Clock) ]) fj
       in
-      let* discipline =
-        let* s = field "discipline" Json.to_str ~default:"uniform" in
-        discipline_of_name s
-      in
-      let* solver = field "solver" Json.to_str ~default:"dinic" in
-      let* transmission_time =
-        field "transmission_time" Json.to_int ~default:1
-      in
-      let* batch_threshold = field "batch_threshold" Json.to_int ~default:1 in
-      let* max_defer = field "max_defer" Json.to_int ~default:16 in
-      let* heartbeat = field "heartbeat" Json.to_int ~default:0 in
-      let* faults =
-        match Json.member "faults" j with
-        | None | Some Json.Null -> Ok None
-        | Some fj -> (
-          match
-            ( Option.bind (Json.member "mtbf" fj) Json.to_num,
-              Option.bind (Json.member "mttr" fj) Json.to_num,
-              match Json.member "granularity" fj with
-              | None -> Some `Slot
-              | Some g -> (
-                match Json.to_str g with
-                | Some "slot" -> Some `Slot
-                | Some "clock" -> Some `Clock
-                | Some _ | None -> None) )
-          with
-          | Some mtbf, Some mttr, Some granularity ->
-            Ok (Some { mtbf; mttr; granularity })
-          | _ -> Error "Engine.Config: bad field \"faults\"")
-      in
-      let* guard =
-        match Json.member "guard" j with
-        | None | Some Json.Null -> Ok None
-        | Some gj ->
-          let* g = Policy.of_json gj in
-          Ok (Some g)
-      in
+      { mtbf; mttr; granularity = Option.value granularity ~default:`Slot }
+    in
+    let policy gj = of_result (Policy.of_json gj) in
+    match
+      let* mode = opt "mode" (enum modes) Warm in
+      let* discipline = opt "discipline" (enum disciplines) Uniform in
+      let* solver = opt "solver" str "dinic" in
+      let* transmission_time = opt "transmission_time" int 1 in
+      let* batch_threshold = opt "batch_threshold" int 1 in
+      let* max_defer = opt "max_defer" int 16 in
+      let* heartbeat = opt "heartbeat" int 0 in
+      let* faults = field_opt "faults" fault_plan j in
+      let+ guard = field_opt "guard" policy j in
       make ~mode ~discipline ~solver ~transmission_time ~batch_threshold
         ~max_defer ~heartbeat ~faults ~guard ()
+    with
+    | Ok r -> r
+    | Error e -> Error ("Engine.Config: " ^ to_string e)
 end
 
 type cycle_info = {
@@ -1157,32 +1123,9 @@ let check_accounting t =
 
 let checkpoint_schema = "rsin-engine-checkpoint/v1"
 
-exception Restore_error of string
-
-let rfail fmt = Printf.ksprintf (fun m -> raise (Restore_error m)) fmt
-
 let jint n = Json.Num (float_of_int n)
 
 let jints l = Json.Arr (List.map jint l)
-
-let elt_fields = function
-  | Fault.Link l -> ("link", l)
-  | Fault.Res r -> ("res", r)
-  | Fault.Box b -> ("box", b)
-
-let elt_json e =
-  let kind, idx = elt_fields e in
-  [ ("kind", Json.Str kind); ("idx", jint idx) ]
-
-let elt_of_fields j =
-  match
-    ( Option.bind (Json.member "kind" j) Json.to_str,
-      Option.bind (Json.member "idx" j) Json.to_int )
-  with
-  | Some "link", Some i -> Fault.Link i
-  | Some "res", Some i -> Fault.Res i
-  | Some "box", Some i -> Fault.Box i
-  | _ -> rfail "checkpoint: malformed element"
 
 let ev_to_json = function
   | Ev_arrive { id; proc; service; deadline; priority } ->
@@ -1197,69 +1140,13 @@ let ev_to_json = function
     Json.Obj
       ([ ("ev", Json.Str "fault");
          ("dir", Json.Str (if Fault.is_down fev then "down" else "up")) ]
-      @ elt_json (Fault.element fev)
+      @ Fault.element_to_json (Fault.element fev)
       @ match clock with None -> [] | Some c -> [ ("clock", jint c) ])
   | Ev_deadline id -> Json.Obj [ ("ev", Json.Str "deadline"); ("id", jint id) ]
   | Ev_wake -> Json.Obj [ ("ev", Json.Str "wake") ]
   | Ev_retry id -> Json.Obj [ ("ev", Json.Str "retry"); ("id", jint id) ]
-  | Ev_unquarantine e -> Json.Obj (("ev", Json.Str "unquarantine") :: elt_json e)
-
-let jget j k =
-  match Json.member k j with
-  | Some v -> v
-  | None -> rfail "checkpoint: missing field %S" k
-
-let jgeti j k =
-  match Json.to_int (jget j k) with
-  | Some n -> n
-  | None -> rfail "checkpoint: field %S is not an integer" k
-
-let jgeti_opt j k = Option.bind (Json.member k j) Json.to_int
-
-let jgets j k =
-  match Json.to_str (jget j k) with
-  | Some s -> s
-  | None -> rfail "checkpoint: field %S is not a string" k
-
-let jgetl j k =
-  match Json.to_list (jget j k) with
-  | Some l -> l
-  | None -> rfail "checkpoint: field %S is not an array" k
-
-let jgetil j k =
-  List.map
-    (fun v ->
-      match Json.to_int v with
-      | Some n -> n
-      | None -> rfail "checkpoint: field %S holds a non-integer" k)
-    (jgetl j k)
-
-let jgetb j k =
-  match jget j k with
-  | Json.Bool b -> b
-  | _ -> rfail "checkpoint: field %S is not a boolean" k
-
-let ev_of_json j =
-  let elt () = elt_of_fields j in
-  match jgets j "ev" with
-  | "arrive" ->
-    Ev_arrive
-      { id = jgeti j "id"; proc = jgeti j "proc"; service = jgeti j "service";
-        deadline = jgeti_opt j "deadline"; priority = jgeti j "priority" }
-  | "cancel" -> Ev_cancel (jgeti j "id")
-  | "release" -> Ev_release (jgeti j "li")
-  | "complete" -> Ev_complete (jgeti j "li")
-  | "fault" ->
-    let dir = jgets j "dir" in
-    if dir <> "down" && dir <> "up" then
-      rfail "checkpoint: bad fault direction %S" dir;
-    let mk = if dir = "down" then Fault.down_of else Fault.up_of in
-    Ev_fault (mk (elt ()), jgeti_opt j "clock")
-  | "deadline" -> Ev_deadline (jgeti j "id")
-  | "wake" -> Ev_wake
-  | "retry" -> Ev_retry (jgeti j "id")
-  | "unquarantine" -> Ev_unquarantine (elt ())
-  | k -> rfail "checkpoint: unknown event kind %S" k
+  | Ev_unquarantine e ->
+    Json.Obj (("ev", Json.Str "unquarantine") :: Fault.element_to_json e)
 
 (* A fresh accumulator holds +/-infinity extremes, which the Json
    printer would turn into null — so extremes are only present when
@@ -1273,16 +1160,6 @@ let accum_to_json a =
      else
        [ ("mean", Json.Num mean); ("m2", Json.Num m2); ("lo", Json.Num lo);
          ("hi", Json.Num hi) ]))
-
-let accum_restore_json a j =
-  let num k =
-    match Json.to_num (jget j k) with
-    | Some x -> x
-    | None -> rfail "checkpoint: field %S is not a number" k
-  in
-  let n = jgeti j "n" in
-  if n = 0 then Stats.accum_restore a (0, 0., 0., infinity, neg_infinity)
-  else Stats.accum_restore a (n, num "mean", num "m2", num "lo", num "hi")
 
 (* Drain-and-readd: the heap has no iterator, but keys are preserved
    so the engine continues unperturbed afterwards. *)
@@ -1403,175 +1280,313 @@ let snapshot t =
               ("pending_ops", jint (Incremental.pending_ops i));
               ("total_work", jint (Incremental.total_work i)) ] ) ]
 
-let restore_exn ?obs ?cycle_hook ?event_hook net j =
-  (match Json.to_obj j with
-  | Some _ -> ()
-  | None -> rfail "checkpoint: expected a JSON object");
-  let schema = jgets j "schema" in
-  if schema <> checkpoint_schema then
-    rfail "checkpoint: unsupported schema %S (want %S)" schema checkpoint_schema;
-  let config =
-    match Config.of_json (jget j "config") with
-    | Ok c -> c
-    | Error m -> rfail "%s" m
-  in
-  if not (Network.all_up net && Network.circuits net = []) then
-    rfail "checkpoint: restore needs a pristine network";
-  let nj = jget j "net" in
-  if jgets nj "name" <> Network.name net
-     || jgeti nj "n_procs" <> Network.n_procs net
-     || jgeti nj "n_res" <> Network.n_res net
-     || jgeti nj "n_links" <> Network.n_links net
-     || jgeti nj "n_boxes" <> Network.n_boxes net
-  then
-    rfail "checkpoint: network mismatch (snapshot taken on %s %dx%d)"
-      (jgets nj "name") (jgeti nj "n_procs") (jgeti nj "n_res");
-  let t = create ?obs ~config ?cycle_hook ?event_hook net in
-  (* Health and quarantine flags, then re-derive every warm link
-     capacity and resource arc from them. *)
-  List.iter (fun l -> Network.set_link_up t.net l false) (jgetil nj "link_down");
-  List.iter (fun b -> Network.set_box_up t.net b false) (jgetil nj "box_down");
-  List.iter (fun r -> Network.set_res_up t.net r false) (jgetil nj "res_down");
-  List.iter
-    (fun l -> Network.set_link_quarantined t.net l true)
-    (jgetil nj "link_quarantined");
-  List.iter
-    (fun b -> Network.set_box_quarantined t.net b true)
-    (jgetil nj "box_quarantined");
-  List.iter
-    (fun r -> Network.set_res_quarantined t.net r true)
-    (jgetil nj "res_quarantined");
-  (match t.inc with
-  | Some i ->
-    for l = 0 to Network.n_links t.net - 1 do
-      Incremental.set_link_usable i l (Network.usable t.net l)
-    done
-  | None -> ());
-  for r = 0 to t.nr - 1 do sync_res t r done;
-  (* Tasks and queues before requesting flags: set_requesting reads the
-     queue head's priority. *)
-  List.iter
-    (fun tj ->
-      Hashtbl.replace t.tasks (jgeti tj "id")
-        { arrival = jgeti tj "arrival"; service = jgeti tj "service";
-          priority = jgeti tj "priority"; deadline = jgeti_opt tj "deadline";
-          queued = jgetb tj "queued" })
-    (jgetl j "tasks");
-  let queues = jgetl j "queues" in
-  if List.length queues <> t.np then rfail "checkpoint: queue count mismatch";
-  List.iteri
-    (fun p qj ->
-      t.queues.(p) <-
-        List.map
-          (fun v ->
-            match Json.to_int v with
-            | Some id when Hashtbl.mem t.tasks id -> id
-            | Some id -> rfail "checkpoint: queued task %d has no record" id
-            | None -> rfail "checkpoint: non-integer task id in queue")
-          (match Json.to_list qj with
-          | Some l -> l
-          | None -> rfail "checkpoint: queue %d is not an array" p))
-    queues;
-  List.iter (fun p -> set_requesting t p true) (jgetil j "requesting");
-  (* Live circuits, in table order: establishing on the restored
-     network re-derives net ids; the warm graph gets each circuit's
-     arcs frozen exactly as commit left them. Released entries hold no
-     links — only the resource. *)
-  List.iter
-    (fun lj ->
-      let li = jgeti lj "li" in
-      let lproc = jgeti lj "proc" and lres = jgeti lj "res" in
-      let task_id = jgeti lj "task" in
-      if not (Hashtbl.mem t.tasks task_id) then
-        rfail "checkpoint: live circuit for unknown task %d" task_id;
-      let released = jgetb lj "released" in
-      let links = jgetil lj "links" in
-      let net_id, inc_circuit =
-        if released then (-1, None)
-        else begin
-          (* establish checks the links chain from some processor to
-             some resource; they must be this entry's own. *)
-          let net_id = Network.establish t.net links in
-          if Network.link_src t.net (List.hd links) <> Network.Proc lproc
-             || Network.link_dst t.net (List.nth links (List.length links - 1))
-                <> Network.Res lres
-          then
-            rfail "checkpoint: live circuit %d does not run from processor %d \
-                   to resource %d" li lproc lres;
-          ( net_id,
-            Option.map
-              (fun i -> Incremental.restore_circuit i ~proc:lproc ~res:lres ~links)
-              t.inc )
-        end
+(* --- Restore: decode every field, bound every index against the
+   network, and check that the state is one the engine could have
+   reached (DESIGN §15 lists the invariants). Every error names its
+   path. *)
+
+module Restore = struct
+  open Json.Decode
+
+  let event_kinds =
+    [ ("arrive", `Arrive); ("cancel", `Cancel); ("release", `Release);
+      ("complete", `Complete); ("fault", `Fault); ("deadline", `Deadline);
+      ("wake", `Wake); ("retry", `Retry); ("unquarantine", `Unquarantine) ]
+
+  let decode_ev t j =
+    let id f = map f (field "id" int) j and li f = map f (field "li" int) j in
+    let* kind = field "ev" (enum event_kinds) j in
+    match kind with
+    | `Arrive ->
+      let* id = field "id" int j in
+      let* proc = field "proc" (index t.np) j in
+      let* service = field "service" (at_least 1) j in
+      let* deadline = field_opt "deadline" int j in
+      let+ priority = field "priority" (at_least 0) j in
+      Ev_arrive { id; proc; service; deadline; priority }
+    | `Cancel -> id (fun i -> Ev_cancel i)
+    | `Release -> li (fun i -> Ev_release i)
+    | `Complete -> li (fun i -> Ev_complete i)
+    | `Fault ->
+      let* down = field "dir" (enum [ ("down", true); ("up", false) ]) j in
+      let* e = Fault.decode_element ~net:t.net j in
+      let+ clock = field_opt "clock" int j in
+      Ev_fault ((if down then Fault.down_of e else Fault.up_of e), clock)
+    | `Deadline -> id (fun i -> Ev_deadline i)
+    | `Wake -> Ok Ev_wake
+    | `Retry -> id (fun i -> Ev_retry i)
+    | `Unquarantine ->
+      map (fun e -> Ev_unquarantine e) (Fault.decode_element ~net:t.net) j
+
+  let decode_accum a j =
+    let* n = field "n" (at_least 0) j in
+    if n = 0 then Ok (Stats.accum_restore a (0, 0., 0., infinity, neg_infinity))
+    else
+      let* mean = field "mean" num j in
+      let* m2 = field "m2" num j in
+      let* lo = field "lo" num j in
+      let+ hi = field "hi" num j in
+      Stats.accum_restore a (n, mean, m2, lo, hi)
+
+  let each k d j = Result.map ignore (field k (list d) j)
+  let failf fmt = Printf.ksprintf (fun m -> fail m) fmt
+
+  (* Health and quarantine flags, then every warm link capacity and
+     resource arc re-derived from them. *)
+  let restore_net t nj =
+    let flags k n set = each k (fun v -> map (set t.net) (index n) v) nj in
+    let nl = Network.n_links t.net and nb = Network.n_boxes t.net in
+    let* () = flags "link_down" nl (fun n l -> Network.set_link_up n l false) in
+    let* () = flags "box_down" nb (fun n b -> Network.set_box_up n b false) in
+    let* () = flags "res_down" t.nr (fun n r -> Network.set_res_up n r false) in
+    let on set n i = set n i true in
+    let* () = flags "link_quarantined" nl (on Network.set_link_quarantined) in
+    let* () = flags "box_quarantined" nb (on Network.set_box_quarantined) in
+    let+ () = flags "res_quarantined" t.nr (on Network.set_res_quarantined) in
+    (match t.inc with
+    | Some i ->
+      for l = 0 to nl - 1 do
+        Incremental.set_link_usable i l (Network.usable t.net l)
+      done
+    | None -> ());
+    for r = 0 to t.nr - 1 do sync_res t r done
+
+  (* Task records, then the queues, which must hold each record marked
+     queued exactly once; requesting flags after both, since
+     set_requesting reads the queue head's priority. *)
+  let restore_queues t j =
+    let task tj =
+      let* id = field "id" int tj in
+      let* arrival = field "arrival" int tj in
+      let* service = field "service" (at_least 1) tj in
+      let* priority = field "priority" (at_least 0) tj in
+      let* deadline = field_opt "deadline" int tj in
+      let+ queued = field "queued" bool tj in
+      Hashtbl.replace t.tasks id { arrival; service; priority; deadline; queued }
+    in
+    let* () = each "tasks" task j in
+    let seen = Hashtbl.create 64 in
+    let queued_id v =
+      let* id = int v in
+      match Hashtbl.find_opt t.tasks id with
+      | _ when Hashtbl.mem seen id -> failf "task %d is queued twice" id
+      | Some { queued = true; _ } ->
+        Hashtbl.replace seen id ();
+        Ok id
+      | Some _ -> failf "queued task %d is not marked queued" id
+      | None -> failf "queued task %d has no record" id
+    in
+    let* queues = field "queues" (list (list queued_id)) j in
+    let marked =
+      Hashtbl.fold (fun _ (k : task) n -> if k.queued then n + 1 else n) t.tasks 0
+    in
+    if List.length queues <> t.np then fail ~path:"queues" "queue count mismatch"
+    else if marked <> Hashtbl.length seen then
+      fail ~path:"tasks"
+        (Printf.sprintf "%d task(s) marked queued are in no queue"
+           (marked - Hashtbl.length seen))
+    else begin
+      List.iteri (fun p q -> t.queues.(p) <- q) queues;
+      each "requesting" (map (fun p -> set_requesting t p true) (index t.np)) j
+    end
+
+  (* Live circuits, in table order: establishing on the restored network
+     re-derives net ids; the warm graph gets each circuit's arcs frozen
+     exactly as commit left them. Released entries hold no links, only
+     the resource. *)
+  let restore_live t lj =
+    let* li = field "li" (at_least 0) lj in
+    let* lproc = field "proc" (index t.np) lj in
+    let* lres = field "res" (index t.nr) lj in
+    let* task_id = field "task" int lj in
+    let* committed_at = field "committed_at" int lj in
+    let* lservice = field "service" (at_least 1) lj in
+    let* released = field "released" bool lj in
+    let* links = field "links" (list (index (Network.n_links t.net))) lj in
+    let* () =
+      match Hashtbl.find_opt t.tasks task_id with
+      | None -> failf "live circuit for unknown task %d" task_id
+      | Some { queued = true; _ } -> failf "task %d is both queued and live" task_id
+      | Some _ when not t.res_idle.(lres) ->
+        failf "resource %d holds two circuits" lres
+      | Some _ when (not released) && t.transmitting.(lproc) <> None ->
+        failf "processor %d transmits twice" lproc
+      | Some _ -> Ok ()
+    in
+    let+ net_id, inc =
+      if released then Ok (-1, None)
+      else
+        (* establish checks the links chain from some processor to some
+           resource; they must be this entry's own. *)
+        match Network.establish t.net links with
+        | exception Invalid_argument m -> fail ~path:"links" m
+        | _ when
+            Network.link_src t.net (List.hd links) <> Network.Proc lproc
+            || Network.link_dst t.net (List.nth links (List.length links - 1))
+               <> Network.Res lres ->
+          failf "live circuit %d does not run from processor %d to resource %d"
+            li lproc lres
+        | net_id ->
+          Ok
+            ( net_id,
+              Option.map
+                (fun i -> Incremental.restore_circuit i ~proc:lproc ~res:lres ~links)
+                t.inc )
+    in
+    Hashtbl.replace t.lives li
+      { net_id; lproc; lres; task_id; committed_at; lservice; inc; released };
+    if not released then t.transmitting.(lproc) <- Some task_id;
+    t.res_idle.(lres) <- false;
+    if released then sync_res t lres
+
+  let check_requesting t =
+    let wrong p =
+      t.requesting.(p) <> (t.queues.(p) <> [] && t.transmitting.(p) = None)
+    in
+    match List.find_opt wrong (List.init t.np Fun.id) with
+    | None -> Ok ()
+    | Some p ->
+      fail ~path:"requesting"
+        (Printf.sprintf "processor %d must request iff its queue is non-empty \
+                         and it is not transmitting" p)
+
+  (* The guard's tables. Ev_retry re-admits a parked victim through its
+     task record. *)
+  let restore_guard t j =
+    let parked v =
+      let* id = int v in
+      if Hashtbl.mem t.tasks id then Ok id
+      else failf "parked task %d has no record" id
+    in
+    let pairs k (ka, da) (kb, db) tbl =
+      each k
+        (fun pj ->
+          let* a = field ka da pj in
+          let+ b = field kb db pj in
+          Hashtbl.replace tbl a b)
+        j
+    in
+    let* () = pairs "victim_at" ("task", int) ("at", int) t.victim_at in
+    let* () =
+      pairs "retry_pending" ("task", parked) ("proc", index t.np) t.retry_pending
+    in
+    let* () =
+      pairs "retry_count" ("task", int) ("count", at_least 0) t.retry_count
+    in
+    match t.cfg.Config.guard with
+    | None -> Result.map ignore (field "flap" value j)
+    | Some g ->
+      let flap fj = of_result (Flap.of_json g fj) in
+      let+ fl = field "flap" (nullable flap) j in
+      Option.iter (fun fl -> t.flap <- Some fl) fl
+
+  let counters t =
+    [ ("arrivals", fun v -> t.arrivals <- v);
+      ("allocated", fun v -> t.allocated <- v);
+      ("completed", fun v -> t.completed <- v);
+      ("cancelled", fun v -> t.cancelled <- v);
+      ("expired", fun v -> t.expired <- v);
+      ("cycles", fun v -> t.cycles <- v);
+      ("skipped_cycles", fun v -> t.skipped_cycles <- v);
+      ("solver_work", fun v -> t.solver_work <- v);
+      ("faults", fun v -> t.faults <- v);
+      ("repairs", fun v -> t.repairs <- v);
+      ("victims", fun v -> t.victims <- v);
+      ("shed", fun v -> t.shed <- v);
+      ("given_up", fun v -> t.given_up <- v);
+      ("retries", fun v -> t.retries <- v);
+      ("quarantines", fun v -> t.quarantines <- v);
+      ("busy_slots", fun v -> t.busy_slots <- v);
+      ("horizon", fun v -> t.horizon <- v);
+      ("max_wait", fun v -> t.max_wait <- v);
+      ("events_seen", fun v -> t.events_seen <- v);
+      ("next_live", fun v -> t.next_live <- v);
+      ("next_seq", fun v -> t.next_seq <- v) ]
+
+  (* The event heap, with its (time, seq) keys. A future arrival must
+     bring a task id not already pending. *)
+  let restore_heap t j =
+    let arriving = Hashtbl.create 64 in
+    each "heap"
+      (fun ej ->
+        let* time = field "t" int ej in
+        let* seq = field "seq" int ej in
+        let* ev = field "ev" (decode_ev t) ej in
+        let+ () =
+          match ev with
+          | Ev_arrive { id; _ }
+            when Hashtbl.mem t.tasks id || Hashtbl.mem arriving id ->
+            failf "task %d arrives twice" id
+          | Ev_arrive { id; _ } -> Ok (Hashtbl.replace arriving id ())
+          | _ -> Ok ()
+        in
+        Heap.add t.heap (time, seq) ev)
+      j
+
+  let snapshot ?obs ?cycle_hook ?event_hook net j =
+    let* () = field "schema" (enum [ (checkpoint_schema, ()) ]) j in
+    let* config = field "config" (fun cj -> of_result (Config.of_json cj)) j in
+    let dim k = field "net" (field k int) j in
+    let* name = field "net" (field "name" str) j in
+    let* np = dim "n_procs" in
+    let* nr = dim "n_res" in
+    let* nl = dim "n_links" in
+    let* nb = dim "n_boxes" in
+    if not (Network.all_up net && Network.circuits net = []) then
+      fail "restore needs a pristine network"
+    else if
+      name <> Network.name net || np <> Network.n_procs net
+      || nr <> Network.n_res net || nl <> Network.n_links net
+      || nb <> Network.n_boxes net
+    then failf "network mismatch (snapshot taken on %s %dx%d)" name np nr
+    else
+      let t = create ?obs ~config ?cycle_hook ?event_hook net in
+      let* () = field "net" (restore_net t) j in
+      let* () = restore_queues t j in
+      let* () = each "lives" (restore_live t) j in
+      let* () = check_requesting t in
+      let* () = restore_guard t j in
+      let* () =
+        field "counters"
+          (fun c ->
+            List.fold_left
+              (fun acc (k, set) ->
+                let* () = acc in
+                map set (field k (at_least 0)) c)
+              (Ok ()) (counters t))
+          j
       in
-      Hashtbl.replace t.lives li
-        { net_id; lproc; lres; task_id; committed_at = jgeti lj "committed_at";
-          lservice = jgeti lj "service"; inc = inc_circuit; released };
-      if not released then t.transmitting.(lproc) <- Some task_id;
-      t.res_idle.(lres) <- false;
-      if released then sync_res t lres)
-    (jgetl j "lives");
-  let pairs key ka kb f =
-    List.iter (fun pj -> f (jgeti pj ka) (jgeti pj kb)) (jgetl j key)
-  in
-  pairs "victim_at" "task" "at" (Hashtbl.replace t.victim_at);
-  pairs "retry_pending" "task" "proc" (Hashtbl.replace t.retry_pending);
-  pairs "retry_count" "task" "count" (Hashtbl.replace t.retry_count);
-  (match (jget j "flap", config.Config.guard) with
-  | Json.Null, _ | _, None -> ()
-  | fj, Some g -> (
-    match Flap.of_json g fj with
-    | Ok fl -> t.flap <- Some fl
-    | Error m -> rfail "%s" m));
-  let c = jget j "counters" in
-  t.arrivals <- jgeti c "arrivals";
-  t.allocated <- jgeti c "allocated";
-  t.completed <- jgeti c "completed";
-  t.cancelled <- jgeti c "cancelled";
-  t.expired <- jgeti c "expired";
-  t.cycles <- jgeti c "cycles";
-  t.skipped_cycles <- jgeti c "skipped_cycles";
-  t.solver_work <- jgeti c "solver_work";
-  t.faults <- jgeti c "faults";
-  t.repairs <- jgeti c "repairs";
-  t.victims <- jgeti c "victims";
-  t.shed <- jgeti c "shed";
-  t.given_up <- jgeti c "given_up";
-  t.retries <- jgeti c "retries";
-  t.quarantines <- jgeti c "quarantines";
-  t.busy_slots <- jgeti c "busy_slots";
-  t.horizon <- jgeti c "horizon";
-  t.max_wait <- jgeti c "max_wait";
-  t.events_seen <- jgeti c "events_seen";
-  t.next_live <- jgeti c "next_live";
-  t.served_upto <-
-    (match jget j "served_upto" with
-    | Json.Null -> min_int
-    | v -> (
-      match Json.to_int v with
-      | Some s -> s
-      | None -> rfail "checkpoint: bad served_upto"));
-  accum_restore_json t.waits (jget j "waits");
-  accum_restore_json t.readmissions (jget j "readmissions");
-  List.iter
-    (fun ej ->
-      Heap.add t.heap (jgeti ej "t", jgeti ej "seq") (ev_of_json (jget ej "ev")))
-    (jgetl j "heap");
-  t.next_seq <- jgeti c "next_seq";
-  (match (t.inc, jget j "inc") with
-  | Some i, (Json.Obj _ as ij) ->
-    Incremental.restore_flags i ~dirty:(jgetb ij "dirty")
-      ~pending_ops:(jgeti ij "pending_ops")
-      ~total_work:(jgeti ij "total_work")
-  | Some _, _ -> rfail "checkpoint: warm snapshot without solver flags"
-  | None, _ -> ());
-  t
+      let* served_upto = field "served_upto" (nullable int) j in
+      t.served_upto <- Option.value served_upto ~default:min_int;
+      let* () = field "waits" (decode_accum t.waits) j in
+      let* () = field "readmissions" (decode_accum t.readmissions) j in
+      let* () = restore_heap t j in
+      let* () =
+        field "inc"
+          (fun ij ->
+            match t.inc with
+            | None -> Ok ()
+            | Some i ->
+              let* dirty = field "dirty" bool ij in
+              let* pending_ops = field "pending_ops" (at_least 0) ij in
+              let+ total_work = field "total_work" (at_least 0) ij in
+              Incremental.restore_flags i ~dirty ~pending_ops ~total_work)
+          j
+      in
+      let max_li = Hashtbl.fold (fun li _ m -> max li m) t.lives (-1) in
+      if t.next_live <= max_li then
+        fail ~path:"counters.next_live"
+          (Printf.sprintf "must exceed every live index (%d)" max_li)
+      else
+        match check_accounting t with
+        | Ok () -> Ok t
+        | Error m -> fail ~path:"counters" m
+end
 
 let restore ?obs ?cycle_hook ?event_hook net j =
-  match restore_exn ?obs ?cycle_hook ?event_hook net j with
-  | t -> Ok t
-  | exception Restore_error m -> Error m
-  | exception Invalid_argument m -> Error m
+  Json.Decode.run ~prefix:"checkpoint"
+    (Restore.snapshot ?obs ?cycle_hook ?event_hook net)
+    j
 
 let config t = t.cfg
 

@@ -42,7 +42,6 @@ type mode =
           the network from that cycle onward. Uniform discipline only. *)
 
 val mode_name : mode -> string
-val mode_of_name : string -> (mode, string) result
 
 type discipline =
   | Uniform
@@ -56,7 +55,6 @@ type discipline =
           [Rebuild] as a from-scratch {!Rsin_core.Transform2.schedule}. *)
 
 val discipline_name : discipline -> string
-val discipline_of_name : string -> (discipline, string) result
 
 (** The unified run configuration.
 
@@ -150,9 +148,9 @@ module Config : sig
   val to_json : t -> Rsin_util.Json.t
 
   val of_json : Rsin_util.Json.t -> (t, string) result
-  (** Inverse of {!to_json}; missing fields take their defaults, and the
-      result is re-validated through {!make}, so a decoded config is as
-      trustworthy as a constructed one. *)
+  (** Inverse of {!to_json}; missing or [null] fields take their
+      defaults, and the result is re-validated through {!make}, so a
+      decoded config is as trustworthy as a constructed one. *)
 end
 
 type cycle_info = {
@@ -331,10 +329,15 @@ val restore :
   (t, string) result
 (** Rebuilds an engine from {!snapshot} output over a pristine (all-up,
     no circuits) instance of the {e same} topology the snapshot was
-    taken on — name and dimensions are checked, and so is every live
-    circuit: its links must chain from its own processor to its own
-    resource. Hooks and observer are re-attached fresh (they are not
-    part of the state). *)
+    taken on. Hooks and observer are re-attached fresh (they are not
+    part of the state). Name and dimensions are checked, every index is
+    bounded against the network, and the state must be one the engine
+    could have reached: each queued task in exactly one queue, a
+    processor requesting iff its queue is non-empty and it is not
+    transmitting, every live circuit chaining from its own processor to
+    its own resource, and {!check_accounting} holding (DESIGN §15 lists
+    every check). Errors start with ["checkpoint: "] and name the path
+    that failed. *)
 
 (** {1 One-shot runs} *)
 

@@ -366,85 +366,58 @@ let snapshot t =
         Json.Arr (Array.to_list (Array.map Engine.snapshot t.engines)) ) ]
 
 let restore ?domains ?cycle_hook ?event_hook net j =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.to_str with
-    | Some s when s = checkpoint_schema -> Ok ()
-    | Some s ->
-      Error (Printf.sprintf "serve checkpoint: unsupported schema %S" s)
-    | None -> Error "serve checkpoint: missing schema"
-  in
-  let* config =
-    match Json.member "config" j with
-    | Some cj -> Engine.Config.of_json cj
-    | None -> Error "serve checkpoint: missing config"
-  in
-  let geti k =
-    match Option.bind (Json.member k j) Json.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "serve checkpoint: bad field %S" k)
-  in
-  let* t = create ~config ?domains ?cycle_hook ?event_hook net in
-  let fail e = abort t; Error e in
-  match Option.bind (Json.member "shards" j) Json.to_list with
-  | None -> fail "serve checkpoint: missing shards"
-  | Some shards when List.length shards <> Array.length t.engines ->
-    fail
-      (Printf.sprintf "serve checkpoint: %d shard snapshot(s) for %d shard(s)"
-         (List.length shards) (Array.length t.engines))
-  | Some shards -> (
-    let parts = t.shard.Shard.parts in
-    let rec go i = function
-      | [] -> Ok ()
-      | sj :: rest -> (
-        let cycle_hook =
-          Option.map
-            (fun hook -> fun net info -> hook ~shard:i net info)
-            cycle_hook
-        in
-        match Engine.restore ?cycle_hook parts.(i).Shard.net sj with
-        | Ok e ->
-          t.engines.(i) <- e;
-          go (i + 1) rest
-        | Error m -> Error (Printf.sprintf "shard %d: %s" i m))
+  let open Json.Decode in
+  let decoded =
+    let* () = field "schema" (enum [ (checkpoint_schema, ()) ]) j in
+    let config cj = of_result (Engine.Config.of_json cj) in
+    let* config = field "config" config j in
+    let* t = of_result (create ~config ?domains ?cycle_hook ?event_hook net) in
+    let n = Array.length t.engines in
+    let shard i sj =
+      let cycle_hook =
+        Option.map (fun hook -> fun net info -> hook ~shard:i net info) cycle_hook
+      in
+      let net = t.shard.Shard.parts.(i).Shard.net in
+      let+ e = of_result (Engine.restore ?cycle_hook net sj) in
+      t.engines.(i) <- e
     in
     match
-      let* () = go 0 shards in
-      let* events = geti "events" in
-      let* borrows = geti "borrows" in
-      let* starved = geti "starved" in
-      let* () =
-        match Json.member "task_home" j with
-        | Some (Json.Arr entries) ->
-          List.fold_left
-            (fun acc ej ->
-              let* () = acc in
-              match
-                ( Option.bind (Json.member "task" ej) Json.to_int,
-                  Option.bind (Json.member "shard" ej) Json.to_int )
-              with
-              | Some id, Some si when si >= 0 && si < Array.length t.engines ->
-                Hashtbl.replace t.task_home id si;
-                Ok ()
-              | _ -> Error "serve checkpoint: malformed task_home entry")
-            (Ok ()) entries
-        | _ -> Error "serve checkpoint: missing task_home"
+      let* shards = field "shards" (list value) j in
+      let* _ =
+        if List.length shards = n then field "shards" (listi shard) j
+        else
+          fail ~path:"shards"
+            (Printf.sprintf "%d shard snapshot(s) for %d shard(s)"
+               (List.length shards) n)
+      in
+      let* events = field "events" (at_least 0) j in
+      let* borrows = field "borrows" (at_least 0) j in
+      let* starved = field "starved" (at_least 0) j in
+      let* cur_slot = field_opt "cur_slot" int j in
+      let+ () =
+        field "task_home"
+          (list (fun ej ->
+               let* id = field "task" int ej in
+               let+ si = field "shard" (index n) ej in
+               Hashtbl.replace t.task_home id si))
+          j
+        |> Result.map ignore
       in
       t.events <- events;
       t.borrows <- borrows;
       t.starved <- starved;
-      (match Json.member "cur_slot" j with
-      | Some Json.Null | None -> ()
-      | Some v -> (
-        match Json.to_int v with
-        | Some s ->
+      Option.iter
+        (fun s ->
           t.cur_slot <- s;
-          t.buffering <- true
-        | None -> ()));
-      Ok ()
+          t.buffering <- true)
+        cur_slot
     with
     | Ok () -> Ok t
-    | Error m -> fail m)
+    | Error _ as e ->
+      abort t;
+      e
+  in
+  Result.map_error (fun e -> "serve checkpoint: " ^ to_string e) decoded
 
 let run ?config ?domains ?cycle_hook ?event_hook net trace =
   match create ?config ?domains ?cycle_hook ?event_hook net with

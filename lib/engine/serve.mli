@@ -156,8 +156,10 @@ val restore :
   (t, string) result
 (** Rebuilds a serving instance from {!snapshot} output. The network
     must be a pristine copy of the topology the snapshot was taken on
-    (checked per shard); the config travels inside the snapshot. Hooks
-    and the domain count are re-attached fresh. *)
+    (checked per shard by {!Engine.restore}); the config travels inside
+    the snapshot. Hooks and the domain count are re-attached fresh.
+    Errors start with ["serve checkpoint: "] and name the path that
+    failed. *)
 
 val run :
   ?config:Engine.Config.t ->

@@ -1,4 +1,5 @@
 module Prng = Rsin_util.Prng
+module Json = Rsin_util.Json
 module Network = Rsin_topology.Network
 
 type element = Link of int | Box of int | Res of int
@@ -15,6 +16,27 @@ let element = function
   | Link_down l | Link_up l -> Link l
   | Box_down b | Box_up b -> Box b
   | Res_down r | Res_up r -> Res r
+
+let element_to_json e =
+  let kind, idx =
+    match e with Link l -> ("link", l) | Box b -> ("box", b) | Res r -> ("res", r)
+  in
+  [ ("kind", Json.Str kind); ("idx", Json.Num (float_of_int idx)) ]
+
+let decode_element ?net j =
+  let open Json.Decode in
+  let* kind =
+    field "kind" (enum [ ("link", `Link); ("box", `Box); ("res", `Res) ]) j
+  in
+  let idx size =
+    field "idx"
+      (match net with Some net -> index (size net) | None -> at_least 0)
+      j
+  in
+  match kind with
+  | `Link -> Result.map (fun l -> Link l) (idx Network.n_links)
+  | `Box -> Result.map (fun b -> Box b) (idx Network.n_boxes)
+  | `Res -> Result.map (fun r -> Res r) (idx Network.n_res)
 
 let is_down = function
   | Link_down _ | Box_down _ | Res_down _ -> true

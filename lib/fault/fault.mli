@@ -34,6 +34,17 @@ val element : event -> element
 val down_of : element -> event
 val up_of : element -> event
 
+val element_to_json : element -> (string * Rsin_util.Json.t) list
+(** The element's [kind] (["link"], ["box"] or ["res"]) and [idx]
+    fields, in that order: the one element codec that traces,
+    checkpoints and the flap detector's snapshot all embed. *)
+
+val decode_element :
+  ?net:Rsin_topology.Network.t -> element Rsin_util.Json.Decode.t
+(** Reads the [kind] and [idx] fields of an object back. Without [net]
+    the index only has to be [>= 0]; with it, it must name an element
+    of that network. *)
+
 val is_down : event -> bool
 (** True for [_down] events, false for [_up] (repair) events. *)
 

@@ -48,23 +48,7 @@ let active t =
   Hashtbl.fold (fun e until acc -> (e, until) :: acc) t.quarantined []
   |> List.sort (fun (a, _) (b, _) -> compare_elt a b)
 
-let elt_to_json e =
-  let kind, idx =
-    match e with
-    | Fault.Link i -> ("link", i)
-    | Fault.Box i -> ("box", i)
-    | Fault.Res i -> ("res", i)
-  in
-  Json.Obj [ ("kind", Json.Str kind); ("idx", Json.Num (float_of_int idx)) ]
-
-let elt_of_json j =
-  match (Option.bind (Json.member "kind" j) Json.to_str,
-         Option.bind (Json.member "idx" j) Json.to_int) with
-  | Some "link", Some i -> Ok (Fault.Link i)
-  | Some "box", Some i -> Ok (Fault.Box i)
-  | Some "res", Some i -> Ok (Fault.Res i)
-  | Some k, Some _ -> Error (Printf.sprintf "Guard.Flap: unknown element kind %S" k)
-  | _ -> Error "Guard.Flap: malformed element"
+let elt_to_json e = Json.Obj (Fault.element_to_json e)
 
 let to_json t =
   let history =
@@ -86,55 +70,22 @@ let to_json t =
   Json.Obj [ ("history", Json.Arr history); ("quarantined", Json.Arr quarantined) ]
 
 let of_json policy j =
-  let ( let* ) = Result.bind in
-  let list_field k =
-    match Json.member k j with
-    | Some v ->
-      (match Json.to_list v with
-      | Some l -> Ok l
-      | None -> Error (Printf.sprintf "Guard.Flap: field %S is not an array" k))
-    | None -> Ok []
-  in
-  let* history = list_field "history" in
-  let* quarantined = list_field "quarantined" in
+  let open Json.Decode in
   let t = create policy in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* e =
-          match Json.member "element" entry with
-          | Some ej -> elt_of_json ej
-          | None -> Error "Guard.Flap: history entry without element"
-        in
-        match Option.bind (Json.member "slots" entry) Json.to_list with
-        | Some slots ->
-          let* slots =
-            List.fold_left
-              (fun acc s ->
-                let* acc = acc in
-                match Json.to_int s with
-                | Some n -> Ok (n :: acc)
-                | None -> Error "Guard.Flap: non-integer fault slot")
-              (Ok []) slots
-          in
-          Hashtbl.replace t.history e (List.rev slots);
-          Ok ()
-        | None -> Error "Guard.Flap: history entry without slots")
-      (Ok ()) history
+  (* Entries fill [t] as they decode; on an error [t] is dropped. *)
+  let entries k d = Result.map ignore (field_opt k (list d) j) in
+  let decoded =
+    let* () =
+      entries "history" (fun hj ->
+          let* e = field "element" Fault.decode_element hj in
+          let+ slots = field "slots" (list int) hj in
+          Hashtbl.replace t.history e slots)
+    in
+    entries "quarantined" (fun qj ->
+        let* e = field "element" Fault.decode_element qj in
+        let+ until = field "until" int qj in
+        Hashtbl.replace t.quarantined e until)
   in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* e =
-          match Json.member "element" entry with
-          | Some ej -> elt_of_json ej
-          | None -> Error "Guard.Flap: quarantine entry without element"
-        in
-        match Option.bind (Json.member "until" entry) Json.to_int with
-        | Some until -> Hashtbl.replace t.quarantined e until; Ok ()
-        | None -> Error "Guard.Flap: quarantine entry without until")
-      (Ok ()) quarantined
-  in
-  Ok t
+  match decoded with
+  | Ok () -> Ok t
+  | Error e -> Error ("Guard.Flap: " ^ to_string e)

@@ -47,10 +47,7 @@ let shed_policy_to_string = function
   | Drop_tail -> "drop-tail"
   | Deadline_aware -> "deadline-aware"
 
-let shed_policy_of_string = function
-  | "drop-tail" -> Ok Drop_tail
-  | "deadline-aware" -> Ok Deadline_aware
-  | s -> Error (Printf.sprintf "Guard.Policy: unknown shed policy %S" s)
+let shed_policies = [ ("drop-tail", Drop_tail); ("deadline-aware", Deadline_aware) ]
 
 let to_json t =
   Json.Obj
@@ -65,38 +62,30 @@ let to_json t =
       ("flap_window", Json.Num (float_of_int t.flap_window));
       ("quarantine_slots", Json.Num (float_of_int t.quarantine_slots)) ]
 
+(* Every field is optional; absent or null means the default. *)
 let of_json j =
-  let ( let* ) = Result.bind in
-  match j with
-  | Json.Obj _ ->
-    let int_field k default =
-      match Json.member k j with
-      | None -> Ok (default ())
-      | Some v ->
-        (match Json.to_int v with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "Guard.Policy: field %S is not an integer" k))
-    in
-    let d = default in
-    let* queue_bound = int_field "queue_bound" (fun () -> d.queue_bound) in
-    let* retry_base = int_field "retry_base" (fun () -> d.retry_base) in
-    let* retry_cap = int_field "retry_cap" (fun () -> d.retry_cap) in
-    let* retry_jitter = int_field "retry_jitter" (fun () -> d.retry_jitter) in
-    let* retry_budget = int_field "retry_budget" (fun () -> d.retry_budget) in
-    let* seed = int_field "seed" (fun () -> d.seed) in
-    let* flap_k = int_field "flap_k" (fun () -> d.flap_k) in
-    let* flap_window = int_field "flap_window" (fun () -> d.flap_window) in
-    let* quarantine_slots =
-      int_field "quarantine_slots" (fun () -> d.quarantine_slots)
-    in
-    let* shed_policy =
-      match Json.member "shed_policy" j with
-      | None -> Ok d.shed_policy
-      | Some v ->
-        (match Json.to_str v with
-        | Some s -> shed_policy_of_string s
-        | None -> Error "Guard.Policy: field \"shed_policy\" is not a string")
-    in
-    make ~queue_bound ~shed_policy ~retry_base ~retry_cap ~retry_jitter
-      ~retry_budget ~seed ~flap_k ~flap_window ~quarantine_slots ()
-  | _ -> Error "Guard.Policy: expected an object"
+  let open Json.Decode in
+  let int_or k default =
+    let+ v = field_opt k int j in
+    Option.value v ~default
+  in
+  let d = default in
+  let decoded =
+    let* queue_bound = int_or "queue_bound" d.queue_bound in
+    let* retry_base = int_or "retry_base" d.retry_base in
+    let* retry_cap = int_or "retry_cap" d.retry_cap in
+    let* retry_jitter = int_or "retry_jitter" d.retry_jitter in
+    let* retry_budget = int_or "retry_budget" d.retry_budget in
+    let* seed = int_or "seed" d.seed in
+    let* flap_k = int_or "flap_k" d.flap_k in
+    let* flap_window = int_or "flap_window" d.flap_window in
+    let* quarantine_slots = int_or "quarantine_slots" d.quarantine_slots in
+    let+ shed_policy = field_opt "shed_policy" (enum shed_policies) j in
+    make ~queue_bound
+      ~shed_policy:(Option.value shed_policy ~default:d.shed_policy)
+      ~retry_base ~retry_cap ~retry_jitter ~retry_budget ~seed ~flap_k
+      ~flap_window ~quarantine_slots ()
+  in
+  match decoded with
+  | Ok r -> r
+  | Error e -> Error ("Guard.Policy: " ^ to_string e)

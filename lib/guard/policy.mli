@@ -81,11 +81,10 @@ val default : t
 (** [v ()]. *)
 
 val shed_policy_to_string : shed_policy -> string
-val shed_policy_of_string : string -> (shed_policy, string) result
 
 val to_json : t -> Rsin_util.Json.t
 
 val of_json : Rsin_util.Json.t -> (t, string) result
-(** Missing fields take their defaults; out-of-range values and
+(** Missing or [null] fields take their defaults; out-of-range values and
     malformed shapes are errors (everything re-validates through
     {!make}). *)

@@ -9,11 +9,7 @@ let kind_to_string = function
   | Alloc -> "alloc"
   | Count -> "count"
 
-let kind_of_string = function
-  | "time" -> Some Time
-  | "alloc" -> Some Alloc
-  | "count" -> Some Count
-  | _ -> None
+let kinds = [ ("time", Time); ("alloc", Alloc); ("count", Count) ]
 
 type metric = {
   kind : kind;
@@ -168,76 +164,40 @@ let to_json t =
                           c.metrics) ) ])
              t.cases) ) ]
 
-let ( let* ) r f = Result.bind r f
-
-let req what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "BENCH schema: missing or bad %s" what)
-
 let metric_of_json j =
-  let num k = req k Option.(bind (Json.member k j) Json.to_num) in
-  let* kind_s = req "kind" Option.(bind (Json.member "kind" j) Json.to_str) in
-  let* kind = req "kind" (kind_of_string kind_s) in
-  let* unit_ = req "unit" Option.(bind (Json.member "unit" j) Json.to_str) in
-  let* n = req "n" Option.(bind (Json.member "n" j) Json.to_int) in
+  let open Json.Decode in
+  let num k = field k num j in
+  let* kind = field "kind" (enum kinds) j in
+  let* unit_ = field "unit" str j in
+  let* n = field "n" int j in
   let* mean = num "mean" in
   let* ci95 = num "ci95" in
   let* p50 = num "p50" in
   let* p95 = num "p95" in
   let* lo = num "min" in
-  let* hi = num "max" in
-  Ok { kind; unit_; n; mean; ci95; p50; p95; lo; hi }
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+  let+ hi = num "max" in
+  { kind; unit_; n; mean; ci95; p50; p95; lo; hi }
 
 let of_json j =
-  let* bench = req "bench" Option.(bind (Json.member "bench" j) Json.to_str) in
-  let* schema =
-    req "schema" Option.(bind (Json.member "schema" j) Json.to_int)
+  let open Json.Decode in
+  let case cj =
+    let* case_name = field "case" str cj in
+    let+ metrics = field "metrics" (assoc metric_of_json) cj in
+    { case_name; metrics = List.rev metrics }
   in
-  if schema <> schema_version then
-    Error (Printf.sprintf "BENCH schema: version %d, expected %d" schema
-             schema_version)
-  else
-    let* q = req "quick" Option.(bind (Json.member "quick" j) Json.to_bool) in
-    let* env_fields =
-      req "env" Option.(bind (Json.member "env" j) Json.to_obj)
-    in
-    let* e =
-      map_result
-        (fun (k, v) ->
-          let* s = req ("env." ^ k) (Json.to_str v) in
-          Ok (k, s))
-        env_fields
-    in
-    let* case_list =
-      req "cases" Option.(bind (Json.member "cases" j) Json.to_list)
-    in
-    let* cases =
-      map_result
-        (fun cj ->
-          let* name =
-            req "case" Option.(bind (Json.member "case" cj) Json.to_str)
-          in
-          let* mfields =
-            req "metrics" Option.(bind (Json.member "metrics" cj) Json.to_obj)
-          in
-          let* metrics =
-            map_result
-              (fun (mname, mj) ->
-                let* m = metric_of_json mj in
-                Ok (mname, m))
-              mfields
-          in
-          Ok { case_name = name; metrics = List.rev metrics })
-        case_list
-    in
-    Ok { bench; q; e; cases = List.rev cases }
+  let decoded =
+    let* bench = field "bench" str j in
+    let* schema = field "schema" int j in
+    if schema <> schema_version then
+      fail ~path:"schema"
+        (Printf.sprintf "version %d, expected %d" schema schema_version)
+    else
+      let* q = field "quick" bool j in
+      let* e = field "env" (assoc str) j in
+      let+ cases = field "cases" (list case) j in
+      { bench; q; e; cases = List.rev cases }
+  in
+  Result.map_error (fun e -> "BENCH schema: " ^ to_string e) decoded
 
 let equal a b =
   a.bench = b.bench && a.q = b.q && a.e = b.e
@@ -280,8 +240,7 @@ let read_file path =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    let* j = Json.parse s in
-    of_json j
+    Result.bind (Json.parse s) of_json
   with Sys_error msg -> Error msg
 
 (* --- comparison ---------------------------------------------------------- *)

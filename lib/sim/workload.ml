@@ -1,4 +1,5 @@
 module Prng = Rsin_util.Prng
+module Json = Rsin_util.Json
 module Network = Rsin_topology.Network
 module Builders = Rsin_topology.Builders
 module Fault = Rsin_fault.Fault
@@ -180,15 +181,11 @@ let trace_to_jsonl trace =
            the intra-cycle clock is emitted only when present, keeping
            slot-granular fault traces (PR 4) byte-identical. *)
         let ev = match ev with Fault _ -> "fault" | _ -> "repair" in
-        let kind, idx =
-          match element with
-          | Fault.Link l -> ("link", l)
-          | Fault.Box b -> ("box", b)
-          | Fault.Res r -> ("res", r)
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "{\"t\":%d,\"ev\":%S,\"kind\":%S,\"idx\":%d" t ev kind
-             idx);
+        Buffer.add_string buf (Printf.sprintf "{\"t\":%d,\"ev\":%S" t ev);
+        List.iter
+          (fun (k, v) ->
+            Buffer.add_string buf (Printf.sprintf ",%S:%s" k (Json.to_string v)))
+          (Fault.element_to_json element);
         (match clock with
         | Some c -> Buffer.add_string buf (Printf.sprintf ",\"clock\":%d" c)
         | None -> ());
@@ -199,131 +196,57 @@ let trace_to_jsonl trace =
 
 type parse_error = { line : int; message : string }
 
-exception Malformed of int * string
-
-(* Minimal parser for the flat one-object-per-line format above: no
-   nesting, values are ints or quoted strings without escapes. *)
-let parse_fields line lineno =
-  let fail msg = raise (Malformed (lineno, msg)) in
-  let line = String.trim line in
-  let n = String.length line in
-  if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then
-    fail "expected a {...} object";
-  let body = String.sub line 1 (n - 2) in
-  if String.trim body = "" then []
-  else
-    String.split_on_char ',' body
-    |> List.map (fun field ->
-           match String.index_opt field ':' with
-           | None -> fail "expected \"key\":value"
-           | Some i ->
-             let key = String.trim (String.sub field 0 i) in
-             let value =
-               String.trim (String.sub field (i + 1) (String.length field - i - 1))
-             in
-             let unquote s =
-               let l = String.length s in
-               if l >= 2 && s.[0] = '"' && s.[l - 1] = '"' then
-                 String.sub s 1 (l - 2)
-               else s
-             in
-             (unquote key, unquote value))
-
-let parse_line lineno line =
-  let fields = parse_fields line lineno in
-  let fail msg = raise (Malformed (lineno, msg)) in
-  let int_field k =
-    match List.assoc_opt k fields with
-    | None -> fail (Printf.sprintf "missing field %S" k)
-    | Some v ->
-      (match int_of_string_opt v with
-      | Some n -> n
-      | None -> fail (Printf.sprintf "field %S is not an integer" k))
+(* One trace line: a strict RFC 8259 object, decoded by key (unknown
+   keys are ignored). The checks mirror [Engine.feed]'s, so a trace that
+   imports also feeds. *)
+let decode_event j =
+  let open Json.Decode in
+  let* ev =
+    field "ev"
+      (enum
+         [ ("arrive", `Arrive); ("cancel", `Cancel); ("fault", `Fault);
+           ("repair", `Repair) ])
+      j
   in
-  match List.assoc_opt "ev" fields with
-  | Some "arrive" ->
-    let service = int_field "service" in
-    if service < 1 then fail "field \"service\" must be >= 1";
-    let proc = int_field "proc" in
-    if proc < 0 then fail "field \"proc\" must be >= 0";
-    let priority =
-      match List.assoc_opt "priority" fields with
-      | None -> 0
-      | Some v ->
-        (match int_of_string_opt v with
-        | Some y when y >= 0 -> y
-        | Some _ -> fail "field \"priority\" must be >= 0"
-        | None -> fail "field \"priority\" is not an integer")
-    in
-    [ Arrive
-        { t = int_field "t"; id = int_field "id"; proc; service;
-          deadline =
-            (match List.assoc_opt "deadline" fields with
-            | None -> None
-            | Some v ->
-              (match int_of_string_opt v with
-              | Some d -> Some d
-              | None -> fail "field \"deadline\" is not an integer"));
-          priority } ]
-  | Some "cancel" -> [ Cancel { t = int_field "t"; id = int_field "id" } ]
-  | Some (("fault" | "repair") as which) ->
-    let idx = int_field "idx" in
-    if idx < 0 then fail "field \"idx\" must be >= 0";
-    let element =
-      match List.assoc_opt "kind" fields with
-      | Some "link" -> Fault.Link idx
-      | Some "box" -> Fault.Box idx
-      | Some "res" -> Fault.Res idx
-      | Some other -> fail (Printf.sprintf "unknown element kind %S" other)
-      | None -> fail "missing field \"kind\""
-    in
-    let clock =
-      match List.assoc_opt "clock" fields with
-      | None -> None
-      | Some v ->
-        (match int_of_string_opt v with
-        | Some c when c >= 0 -> Some c
-        | Some _ -> fail "field \"clock\" must be >= 0"
-        | None -> fail "field \"clock\" is not an integer")
-    in
-    let t = int_field "t" in
-    if which = "fault" then [ Fault { t; clock; element } ]
-    else [ Repair { t; clock; element } ]
-  | Some other -> fail (Printf.sprintf "unknown event kind %S" other)
-  | None -> fail "missing field \"ev\""
+  match ev with
+  | `Arrive ->
+    let* service = field "service" (at_least 1) j in
+    let* proc = field "proc" (at_least 0) j in
+    let* priority = field_opt "priority" (at_least 0) j in
+    let* t = field "t" int j in
+    let* id = field "id" int j in
+    let+ deadline = field_opt "deadline" int j in
+    Arrive
+      { t; id; proc; service; deadline;
+        priority = Option.value priority ~default:0 }
+  | `Cancel ->
+    let* t = field "t" int j in
+    let+ id = field "id" int j in
+    Cancel { t; id }
+  | (`Fault | `Repair) as which ->
+    let* element = Fault.decode_element j in
+    let* clock = field_opt "clock" (at_least 0) j in
+    let+ t = field "t" int j in
+    if which = `Fault then Fault { t; clock; element }
+    else Repair { t; clock; element }
+
+let parse_line line =
+  match Json.parse line with
+  | Ok (Json.Obj _ as j) -> Json.Decode.run decode_event j
+  | Error e when String.starts_with ~prefix:"{" (String.trim line) ->
+    Error ("malformed JSON object: " ^ e)
+  | Ok _ | Error _ -> Error "expected a {...} object"
 
 (* The streaming core under every reader: pull lines one at a time from
    [next_line], parse, fold. Constant memory in the input length — the
    accumulator is whatever the caller builds — and events are delivered
    in file order, so a serve loop can act on each line as it arrives. *)
-let fold_line_source next_line ~init ~f =
-  let rec go lineno acc =
-    match next_line () with
-    | None -> Ok acc
-    | Some line ->
-      let lineno = lineno + 1 in
-      if String.trim line = "" then go lineno acc
-      else (
-        match
-          try parse_line lineno line with
-          | Malformed _ as e -> raise e
-          | e ->
-            (* belt and braces: any parser slip on hostile input still
-               surfaces as a positioned error, never a raw exception *)
-            raise (Malformed (lineno, Printexc.to_string e))
-        with
-        | events -> go lineno (List.fold_left f acc events)
-        | exception Malformed (line, message) -> Error { line; message })
-  in
-  go 0 init
-
-let fold_trace_channel ic ~init ~f =
-  fold_line_source (fun () -> In_channel.input_line ic) ~init ~f
-
-(* Lenient variant for long-lived serving: a malformed line is handed
-   to [on_error] and dropped instead of aborting the whole stream, and
-   a read error (client disconnect mid-line) ends the stream cleanly —
-   a serve socket must survive hostile or truncated input. *)
+(* The streaming core under every reader: pull lines one at a time from
+   [next_line], parse, fold. Constant memory in the input length — the
+   accumulator is whatever the caller builds — and events are delivered
+   in file order, so a serve loop can act on each line as it arrives.
+   A malformed line is handed to [on_error]; the lenient readers drop it
+   and go on. *)
 let fold_lines_lenient next_line ~on_error ~init ~f =
   let rec go lineno acc =
     match next_line () with
@@ -332,18 +255,28 @@ let fold_lines_lenient next_line ~on_error ~init ~f =
       let lineno = lineno + 1 in
       if String.trim line = "" then go lineno acc
       else (
-        match
-          try parse_line lineno line with
-          | Malformed _ as e -> raise e
-          | e -> raise (Malformed (lineno, Printexc.to_string e))
-        with
-        | events -> go lineno (List.fold_left f acc events)
-        | exception Malformed (line, message) ->
-          on_error { line; message };
+        match parse_line line with
+        | Ok ev -> go lineno (f acc ev)
+        | Error message ->
+          on_error { line = lineno; message };
           go lineno acc)
   in
   go 0 init
 
+(* The strict readers stop at the first malformed line. *)
+let fold_line_source next_line ~init ~f =
+  let exception Stop of parse_error in
+  let on_error e = raise (Stop e) in
+  match fold_lines_lenient next_line ~on_error ~init ~f with
+  | acc -> Ok acc
+  | exception Stop e -> Error e
+
+let fold_trace_channel ic ~init ~f =
+  fold_line_source (fun () -> In_channel.input_line ic) ~init ~f
+
+(* Lenient channel reader for long-lived serving: a read error (client
+   disconnect mid-line) ends the stream cleanly, like EOF — a serve
+   socket must survive hostile or truncated input. *)
 let fold_trace_channel_lenient ic ~on_error ~init ~f =
   fold_lines_lenient
     (fun () -> try In_channel.input_line ic with Sys_error _ -> None)

@@ -303,17 +303,117 @@ let rec equal a b =
          x y
   | _ -> false
 
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
+(* --- decoding ------------------------------------------------------------ *)
 
-let to_num = function Num x -> Some x | _ -> None
+module Decode = struct
+  type json = t
 
-let to_int = function
-  | Num x when Float.is_integer x -> Some (int_of_float x)
-  | _ -> None
+  type problem = Missing | Invalid of string | Failed of string
 
-let to_str = function Str s -> Some s | _ -> None
-let to_list = function Arr l -> Some l | _ -> None
-let to_obj = function Obj f -> Some f | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
+  type error = { path : string; problem : problem }
+
+  type 'a t = json -> ('a, error) result
+
+  let ( let* ) = Result.bind
+  let ( let+ ) r f = Result.map f r
+
+  let invalid msg = Error { path = ""; problem = Invalid msg }
+  let fail ?(path = "") msg = Error { path; problem = Failed msg }
+  let of_result = function Ok x -> Ok x | Error m -> fail m
+
+  (* Errors are built at the failing value and gain one path segment
+     per enclosing field or array on the way out. *)
+  let join seg = function
+    | "" -> seg
+    | p when p.[0] = '[' -> seg ^ p
+    | p -> seg ^ "." ^ p
+
+  let within seg = function
+    | Ok _ as ok -> ok
+    | Error e -> Error { e with path = join seg e.path }
+
+  let to_string { path; problem } =
+    match (problem, path) with
+    | Missing, p -> Printf.sprintf "missing field %S" p
+    | Invalid m, "" -> "value " ^ m
+    | Invalid m, p -> Printf.sprintf "field %S %s" p m
+    | Failed m, "" -> m
+    | Failed m, p -> p ^ ": " ^ m
+
+  let run ?prefix d j =
+    let prefix = Option.fold prefix ~none:"" ~some:(fun p -> p ^ ": ") in
+    Result.map_error (fun e -> prefix ^ to_string e) (d j)
+
+  let value j = Ok j
+
+  (* 2^53 - 1: every integer up to it is exact in a float, and
+     [int_of_float] is undefined outside the int range. *)
+  let max_safe = 9007199254740991.
+
+  let int = function
+    | Num x when Float.is_integer x && Float.abs x <= max_safe ->
+      Ok (int_of_float x)
+    | Num x when Float.is_integer x -> invalid "is outside +/-(2^53-1)"
+    | _ -> invalid "is not an integer"
+
+  let num = function Num x -> Ok x | _ -> invalid "is not a number"
+  let str = function Str s -> Ok s | _ -> invalid "is not a string"
+  let bool = function Bool b -> Ok b | _ -> invalid "is not a boolean"
+
+  let at_least n j =
+    let* x = int j in
+    if x >= n then Ok x else invalid (Printf.sprintf "must be >= %d" n)
+
+  let index n j =
+    let* x = int j in
+    if x >= 0 && x < n then Ok x
+    else invalid (Printf.sprintf "must be in [0, %d)" n)
+
+  let listi d = function
+    | Arr l ->
+      let rec go i acc = function
+        | [] -> Ok (List.rev acc)
+        | v :: rest ->
+          let* x = within (Printf.sprintf "[%d]" i) (d i v) in
+          go (i + 1) (x :: acc) rest
+      in
+      go 0 [] l
+    | _ -> invalid "is not an array"
+
+  let list d = listi (fun _ -> d)
+
+  let assoc d = function
+    | Obj fields ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | (k, v) :: rest ->
+          let* x = within k (d v) in
+          go ((k, x) :: acc) rest
+      in
+      go [] fields
+    | _ -> invalid "is not an object"
+
+  let field k d = function
+    | Obj fields -> (
+      match List.assoc_opt k fields with
+      | Some v -> within k (d v)
+      | None -> Error { path = k; problem = Missing })
+    | _ -> invalid "is not an object"
+
+  let nullable d = function Null -> Ok None | j -> Result.map Option.some (d j)
+
+  let field_opt k d = function
+    | Obj fields when not (List.mem_assoc k fields) -> Ok None
+    | j -> field k (nullable d) j
+
+  let enum cases j =
+    let* s = str j in
+    match List.assoc_opt s cases with
+    | Some v -> Ok v
+    | None ->
+      invalid
+        (Printf.sprintf "has unknown value %S (want %s)" s
+           (String.concat "|" (List.map fst cases)))
+
+  let map f d j = Result.map f (d j)
+end

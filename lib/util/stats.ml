@@ -39,10 +39,6 @@ let accum_restore a (n, mean, m2, lo, hi) =
   a.lo <- lo;
   a.hi <- hi
 
-let accum_of_state (n, mean, m2, lo, hi) =
-  if n < 0 then invalid_arg "Stats.accum_of_state: negative count";
-  { n; mean; m2; lo; hi }
-
 let proportion_ci95 ~successes ~trials =
   if trials <= 0 then invalid_arg "Stats.proportion_ci95";
   let z = 1.959964 in

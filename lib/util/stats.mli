@@ -29,14 +29,11 @@ val max_obs : accum -> float
 val accum_state : accum -> int * float * float * float * float
 (** [(count, mean, m2, min, max)] — the full Welford state, for
     checkpoint serialization. Round-trips exactly through
-    {!accum_of_state}. *)
-
-val accum_of_state : int * float * float * float * float -> accum
-(** Rebuild an accumulator from {!accum_state}. Raises
-    [Invalid_argument] on a negative count. *)
+    {!accum_restore}. *)
 
 val accum_restore : accum -> int * float * float * float * float -> unit
-(** In-place {!accum_of_state}, for accumulators embedded in records. *)
+(** Overwrites an accumulator with a state from {!accum_state}. Raises
+    [Invalid_argument] on a negative count. *)
 
 val proportion_ci95 : successes:int -> trials:int -> float * float
 (** Wilson score interval for a binomial proportion, at 95 % confidence.

@@ -32,6 +32,12 @@ let test_measure () =
     (fun w -> check Alcotest.bool "allocation observed" true (w > 0.))
     m.Bench_report.minor_words
 
+(* The first case's metrics, undecoded. *)
+let metrics_of j =
+  let open Json.Decode in
+  Result.get_ok
+    (field "cases" (map List.hd (list (field "metrics" (assoc value)))) j)
+
 let test_record_shapes () =
   let r = Bench_report.create ~env "shape" in
   let case = Bench_report.case r "c" in
@@ -44,14 +50,9 @@ let test_record_shapes () =
     (Bench_report.case_names r);
   (* introspect through the JSON projection *)
   let j = Bench_report.to_json r in
-  let cases = Option.get Option.(bind (Json.member "cases" j) Json.to_list) in
-  let metrics =
-    Option.get Option.(bind (Json.member "metrics" (List.hd cases)) Json.to_obj)
-  in
+  let metrics = metrics_of j in
   let m name = List.assoc name metrics in
-  let num name field =
-    Option.get Option.(bind (Json.member field (m name)) Json.to_num)
-  in
+  let num name k = Result.get_ok (Json.Decode.(field k num) (m name)) in
   check (Alcotest.float 1e-9) "dist mean" 2.5 (num "lat" "mean");
   check (Alcotest.float 1e-9) "dist p50" 2.5 (num "lat" "p50");
   check (Alcotest.float 1e-9) "dist min" 1. (num "lat" "min");
@@ -62,10 +63,7 @@ let test_record_shapes () =
   (* re-recording a name replaces it rather than duplicating *)
   Bench_report.record_count case ~name:"work" 18.;
   let j = Bench_report.to_json r in
-  let cases = Option.get Option.(bind (Json.member "cases" j) Json.to_list) in
-  let metrics =
-    Option.get Option.(bind (Json.member "metrics" (List.hd cases)) Json.to_obj)
-  in
+  let metrics = metrics_of j in
   check Alcotest.int "no duplicate" 2 (List.length metrics)
 
 let test_record_counters () =
@@ -77,10 +75,7 @@ let test_record_counters () =
   let case = Bench_report.case r "c" in
   Bench_report.record_counters case ~prefix:"warm." reg;
   let j = Bench_report.to_json r in
-  let cases = Option.get Option.(bind (Json.member "cases" j) Json.to_list) in
-  let metrics =
-    Option.get Option.(bind (Json.member "metrics" (List.hd cases)) Json.to_obj)
-  in
+  let metrics = metrics_of j in
   (* counters become Count metrics; gauges and histograms are skipped *)
   check Alcotest.int "one metric" 1 (List.length metrics);
   check Alcotest.bool "prefixed name" true

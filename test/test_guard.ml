@@ -365,6 +365,221 @@ let test_restore_rejects_garbage () =
   | Ok _ -> Alcotest.fail "live circuit on the wrong processor accepted"
   | Error _ -> ()
 
+(* Replace the value at [path] (object keys, array indices) with [f v]. *)
+let rec update path f j =
+  match (path, j) with
+  | [], v -> f v
+  | `K k :: rest, Json.Obj fields ->
+    Json.Obj (List.map (fun (k', v) -> (k', if k' = k then update rest f v else v)) fields)
+  | `I i :: rest, Json.Arr l ->
+    Json.Arr (List.mapi (fun i' v -> if i' = i then update rest f v else v) l)
+  | _ -> invalid_arg "update: no such path"
+
+(* A checkpoint that contradicts itself or names elements the network
+   does not have is rejected with an error naming its path, before the
+   engine runs into it. *)
+let test_restore_rejects_contradictions () =
+  let net () = Builders.omega 8 in
+  let arrive id proc =
+    Workload.Arrive { t = 0; id; proc; service = 8; deadline = None; priority = 0 }
+  in
+  let snap ?(transmission_time = 1) ~upto trace =
+    let e =
+      Engine.create ~config:(Engine.Config.v ~transmission_time ()) (net ())
+    in
+    List.iter (Engine.feed e) trace;
+    Engine.advance e ~upto;
+    Engine.snapshot e
+  in
+  (* Proc 0 transmits task 0 for 8 slots; tasks 1 and 2 queue behind it. *)
+  let queued = snap ~transmission_time:8 ~upto:0 [ arrive 0 0; arrive 1 0; arrive 2 0 ] in
+  (* Task 0's circuit is released at slot 1 and serves until slot 9. *)
+  let released = snap ~upto:2 [ arrive 0 1 ] in
+  let rejects what ~path j =
+    match Engine.restore (net ()) j with
+    | Ok _ -> Alcotest.failf "%s: restored" what
+    | Error m ->
+      let names_path =
+        let n = String.length path in
+        let rec at i = i + n <= String.length m && (String.sub m i n = path || at (i + 1)) in
+        at 0
+      in
+      check Alcotest.bool (what ^ ": " ^ m) true
+        (String.starts_with ~prefix:"checkpoint: " m && names_path)
+  in
+  rejects "requesting with an empty queue" ~path:"requesting"
+    (update [ `K "requesting" ] (fun _ -> Json.Arr [ Json.Num 0. ]) (snap ~upto:0 []));
+  rejects "task queued twice" ~path:"queues[1][0]"
+    (update [ `K "queues"; `I 1 ] (fun _ -> Json.Arr [ Json.Num 1. ]) queued);
+  rejects "requesting out of range" ~path:"requesting[0]"
+    (update [ `K "requesting" ] (fun _ -> Json.Arr [ Json.Num 99. ]) queued);
+  rejects "released circuit's resource out of range" ~path:"lives[0].res"
+    (update [ `K "lives"; `I 0; `K "res" ] (fun _ -> Json.Num 99.) released);
+  rejects "counter beyond 2^53" ~path:"counters.arrivals"
+    (update [ `K "counters"; `K "arrivals" ] (fun _ -> Json.Num 1e300) released);
+  rejects "next live index already taken" ~path:"counters.next_live"
+    (update [ `K "counters"; `K "next_live" ] (fun _ -> Json.Num 0.) released);
+  (* The unmutated snapshots restore. *)
+  List.iter
+    (fun j -> ignore (get_ok ~what:"restore" (Engine.restore (net ()) j)))
+    [ queued; released ]
+
+let test_serve_restore_rejects_bad_cur_slot () =
+  let net () = Builders.multiplane ~planes:2 (Builders.omega 4) in
+  let t = get_ok ~what:"create" (Serve.create ~domains:1 (net ())) in
+  Serve.feed t
+    (Workload.Arrive { t = 3; id = 0; proc = 1; service = 2; deadline = None; priority = 0 });
+  let j = Serve.snapshot t in
+  Serve.abort t;
+  let restore j = Serve.restore ~domains:1 (net ()) j in
+  (match restore j with
+  | Ok t' -> Serve.abort t'
+  | Error m -> Alcotest.failf "unmutated: %s" m);
+  match restore (update [ `K "cur_slot" ] (fun _ -> Json.Str "3") j) with
+  | Ok t' ->
+    Serve.abort t';
+    Alcotest.fail "non-integer cur_slot accepted"
+  | Error m ->
+    check Alcotest.string "error names cur_slot"
+      {|serve checkpoint: field "cur_slot" is not an integer|} m
+
+(* --- Checkpoint fuzz --------------------------------------------------------- *)
+
+(* Real mid-run snapshots: guarded engines with faults, quarantines and
+   circuits still transmitting (warm, rebuild and priority), and a
+   sharded server. The whole trace is fed before the kill, so the event
+   heap holds future arrivals, cancels and faults too. *)
+let fuzz_snapshots =
+  lazy
+    (let policy = Policy.v ~queue_bound:3 ~retry_budget:2 ~flap_k:2 ~flap_window:25 () in
+     let engine ?(mode = Engine.Warm) ?(discipline = Engine.Uniform) seed =
+       let net = Builders.omega 8 in
+       let trace =
+         Workload.sort_trace
+           (Workload.synthesize ~deadline_slack:12 ~cancel_prob:0.1
+              ~priority_levels:(if discipline = Engine.Priority then 3 else 0)
+              (Prng.create seed) net ~slots:80 ~arrival_prob:0.5
+           @ Workload.fault_events
+               (Fault.inject (Prng.create (seed + 1)) net ~horizon:80 ~mtbf:12.
+                  ~mttr:4.))
+       in
+       let config =
+         Engine.Config.v ~mode ~discipline ~transmission_time:3 ~guard:(Some policy) ()
+       in
+       let e = Engine.create ~config net in
+       List.iter (Engine.feed e) trace;
+       Engine.advance e ~upto:40;
+       `Engine (Engine.snapshot e)
+     in
+     let serve =
+       let net = Builders.multiplane ~planes:2 (Builders.omega 8) in
+       let trace = fault_trace net ~slots:60 ~seed:21 in
+       let config = Engine.Config.v ~transmission_time:2 ~guard:(Some policy) () in
+       let t = get_ok ~what:"create" (Serve.create ~config ~domains:1 net) in
+       List.iter (Serve.feed t) (List.filter (fun e -> Workload.event_time e <= 30) trace);
+       let j = Serve.snapshot t in
+       Serve.abort t;
+       `Serve j
+     in
+     [| engine 5; engine ~mode:Engine.Rebuild 6; engine ~discipline:Engine.Priority 7;
+        serve |])
+
+(* One random mutation: drop a field, change a value's type, set a
+   number to -1, 1e300 or an out-of-range index, or duplicate an array
+   entry, at a random node it applies to. *)
+let mutate rng j =
+  let kind = Prng.int rng 4 in
+  let fits path v =
+    match (kind, path, v) with
+    | 0, `K _ :: _, _ | 1, _ :: _, _ | 2, _, Json.Num _ | 3, `I _ :: _, _ -> true
+    | _ -> false
+  in
+  let rec paths acc path v =
+    let acc = if fits path v then List.rev path :: acc else acc in
+    match v with
+    | Json.Obj fields ->
+      List.fold_left (fun acc (k, v) -> paths acc (`K k :: path) v) acc fields
+    | Json.Arr l ->
+      snd (List.fold_left (fun (i, acc) v -> (i + 1, paths acc (`I i :: path) v)) (0, acc) l)
+    | _ -> acc
+  in
+  (* Uniform over top-level keys first, so small sections such as the
+     counters are hit as often as the long event heap. *)
+  let find () =
+    let pick l = List.nth l (Prng.int rng (List.length l)) in
+    match paths [] [] j with
+    | [] -> None
+    | ps ->
+      let top = pick (List.sort_uniq compare (List.map List.hd ps)) in
+      Some (pick (List.filter (fun p -> List.hd p = top) ps))
+  in
+  match find () with
+  | None -> j
+  | Some path -> (
+    let parent = List.filteri (fun i _ -> i < List.length path - 1) path in
+    match (kind, List.rev path) with
+    | 0, `K k :: _ ->
+      update parent
+        (function Json.Obj fields -> Json.Obj (List.remove_assoc k fields) | v -> v)
+        j
+    | 2, _ ->
+      let v = [| -1.; 1e300; 10_000. |].(Prng.int rng 3) in
+      update path (fun _ -> Json.Num v) j
+    | 3, `I i :: _ ->
+      update parent
+        (function
+          | Json.Arr l ->
+            Json.Arr (List.concat (List.mapi (fun i' v -> if i' = i then [ v; v ] else [ v ]) l))
+          | v -> v)
+        j
+    | _ ->
+      update path
+        (function
+          | Json.Num _ -> Json.Str "7"
+          | Json.Str _ -> Json.Num 7.
+          | Json.Bool _ -> Json.Num 1.
+          | Json.Null -> Json.Bool true
+          | Json.Arr _ -> Json.Obj []
+          | Json.Obj _ -> Json.Arr [])
+        j)
+
+let test_checkpoint_fuzz =
+  QCheck.Test.make ~count:2000
+    ~name:"checkpoint fuzz: restore errors or yields a sound engine"
+    QCheck.(pair (int_range 0 3) (int_range 0 1_000_000))
+    (fun (which, seed) ->
+      let rng = Prng.create seed in
+      let kind = (Lazy.force fuzz_snapshots).(which) in
+      let mutated j =
+        let j = ref j in
+        for _ = 1 to 1 + Prng.int rng 3 do
+          j := mutate rng !j
+        done;
+        !j
+      in
+      let prefixed prefix m =
+        String.starts_with ~prefix m
+        || QCheck.Test.fail_reportf "unprefixed error: %s" m
+      in
+      match kind with
+      | `Engine j -> (
+        match Engine.restore (Builders.omega 8) (mutated j) with
+        | Error m -> prefixed "checkpoint: " m
+        | Ok e -> (
+          Engine.drain e;
+          match Engine.check_accounting e with
+          | Ok () -> true
+          | Error m -> QCheck.Test.fail_reportf "restored engine: %s" m))
+      | `Serve j -> (
+        let net = Builders.multiplane ~planes:2 (Builders.omega 8) in
+        match Serve.restore ~domains:1 net (mutated j) with
+        | Error m -> prefixed "serve checkpoint: " m
+        | Ok t -> (
+          Serve.drain t;
+          match Serve.check_accounting t with
+          | Ok () -> true
+          | Error m -> QCheck.Test.fail_reportf "restored server: %s" m)))
+
 let test_serve_checkpoint_differential () =
   (* Same differential through the sharded server, checkpointing on a
      slot boundary via the event hook path the CLI uses. *)
@@ -519,15 +734,11 @@ let test_chaos_quick () =
         (o.Chaos.stream_errors > 0))
     outcomes;
   let j = Chaos.report_json outcomes in
-  let field k =
-    match Json.member k j with
-    | Some v -> v
-    | None -> Alcotest.failf "report missing %s" k
-  in
+  let get d = Result.get_ok (Json.Decode.run d j) in
   check Alcotest.string "report schema" "rsin-chaos-report/v1"
-    (Option.value ~default:"?" (Json.to_str (field "schema")));
+    (get Json.Decode.(field "schema" str));
   check Alcotest.int "report rows" 3
-    (List.length (Option.value ~default:[] (Json.to_list (field "topologies"))))
+    (List.length (get Json.Decode.(field "topologies" (list value))))
 
 let suite =
   [ Alcotest.test_case "policy validation" `Quick test_policy_validation;
@@ -546,6 +757,11 @@ let suite =
     Alcotest.test_case "engine checkpoint differential" `Quick
       test_engine_checkpoint_differential;
     Alcotest.test_case "restore rejects garbage" `Quick test_restore_rejects_garbage;
+    Alcotest.test_case "restore rejects contradictions" `Quick
+      test_restore_rejects_contradictions;
+    Alcotest.test_case "serve restore rejects a bad cur_slot" `Quick
+      test_serve_restore_rejects_bad_cur_slot;
+    QCheck_alcotest.to_alcotest test_checkpoint_fuzz;
     Alcotest.test_case "serve checkpoint differential" `Quick
       test_serve_checkpoint_differential;
     Alcotest.test_case "borrow while donor faults same slot" `Quick

@@ -195,11 +195,11 @@ let test_trace_chrome_parses_and_nests () =
   match Json.parse s with
   | Error e -> Alcotest.fail ("chrome export is not valid JSON: " ^ e)
   | Ok j ->
-    let events = Option.get (Json.to_list j) in
+    let module D = Json.Decode in
+    let events = Result.get_ok (D.list D.value j) in
     check Alcotest.bool "trace is non-empty" true (events <> []);
-    let field name ev = Json.member name ev in
-    let str name ev = Option.get Option.(bind (field name ev) Json.to_str) in
-    let int name ev = Option.get Option.(bind (field name ev) Json.to_int) in
+    let str name ev = Result.get_ok (D.field name D.str ev) in
+    let int name ev = Result.get_ok (D.field name D.int ev) in
     (* per-tid: stack of open span names, last timestamp *)
     let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 4 in
     let last_ts : (int, int ref) Hashtbl.t = Hashtbl.create 4 in

@@ -525,17 +525,18 @@ let test_serve_probe_memo_per_slot () =
    flags, circuits still transmitting — over the processors with no
    queued task and no transmission, and the idle healthy ports. *)
 let reference_headroom base snap =
-  let field k j = Option.get (Json.member k j) in
-  let int k j = Option.get (Json.to_int (field k j)) in
-  let list k j = Option.get (Json.to_list (field k j)) in
-  let ints k j = List.map (fun v -> Option.get (Json.to_int v)) (list k j) in
+  let get d j = Result.get_ok (d j) in
+  let field k j = get Json.Decode.(field k value) j in
+  let int k j = get Json.Decode.(field k int) j in
+  let list k j = get Json.Decode.(field k (list value)) j in
+  let ints k j = get Json.Decode.(field k (list int)) j in
   let net = Network.copy base in
   let np = Network.n_procs net and nr = Network.n_res net in
   let transmitting = Array.make np false and busy = Array.make nr false in
   List.iter
     (fun l ->
       busy.(int "res" l) <- true;
-      if not (Option.get (Json.to_bool (field "released" l))) then begin
+      if not (get Json.Decode.(field "released" bool) l) then begin
         transmitting.(int "proc" l) <- true;
         ignore (Network.establish net (ints "links" l))
       end)
@@ -556,7 +557,7 @@ let reference_headroom base snap =
   let queues = Array.of_list (list "queues" snap) in
   let idle =
     List.filter
-      (fun p -> (not transmitting.(p)) && Json.to_list queues.(p) = Some [])
+      (fun p -> (not transmitting.(p)) && queues.(p) = Json.Arr [])
       (List.init np Fun.id)
   in
   let free =

@@ -276,6 +276,18 @@ let test_trace_jsonl_roundtrip () =
   in
   let back = Workload.trace_of_jsonl (Workload.trace_to_jsonl trace) in
   check Alcotest.bool "round trip preserves the trace" true (trace = back);
+  (* Any valid JSON spelling of an event reads back the same: escapes in
+     strings, other whitespace and key orders, and unknown keys, even
+     when their values hold commas. *)
+  check Alcotest.bool "strict JSON spellings" true
+    (Workload.trace_of_jsonl
+       {|{"t":0,"ev":"\u0061rrive","id":0,"proc":1,"service":2}
+{ "id" : 1 , "ev" : "cancel" , "t" : 3 , "note" : "a, b" }
+{"t":4,"ev":"fault","kind":"link","idx":2,"why":{"a":[1,2]}}|}
+    = [ Workload.Arrive
+          { t = 0; id = 0; proc = 1; service = 2; deadline = None; priority = 0 };
+        Workload.Cancel { t = 3; id = 1 };
+        Workload.Fault { t = 4; clock = None; element = Rsin_fault.Fault.Link 2 } ]);
   (* File form too. *)
   let file = Filename.temp_file "rsin_trace" ".jsonl" in
   Fun.protect
@@ -293,7 +305,13 @@ let test_trace_jsonl_rejects_garbage () =
     [ "not json";
       "{\"t\":0,\"ev\":\"arrive\",\"id\":0}";
       "{\"t\":0,\"ev\":\"nope\",\"id\":0}";
-      "{\"t\":0,\"ev\":\"arrive\",\"id\":0,\"proc\":1,\"service\":0}" ]
+      "{\"t\":0,\"ev\":\"arrive\",\"id\":0,\"proc\":1,\"service\":0}";
+      (* Lines are strict RFC 8259: no hex, binary or underscored
+         numbers, no unquoted keys or values, no integers beyond
+         2^53 - 1. *)
+      {|{"t":0x2,"ev":"arrive","id":0,"proc":1_0,"service":0b11}|};
+      {|{t:3,ev:cancel,id:0}|};
+      {|{"t":1e300,"ev":"cancel","id":0}|} ]
 
 (* Malformed lines are reported with their 1-based line number, not an
    exception — and the number names the offending line, not line 1. *)

@@ -528,18 +528,68 @@ let test_json_parse_basics () =
     [ ""; "{"; "[1,]"; "nul"; "\"unterminated"; "1 2"; "{\"a\" 1}"; "[01]" ]
 
 let test_json_accessors () =
+  let module D = Json.Decode in
   let j =
     Result.get_ok (Json.parse {|{"n":3,"arr":[1,2],"s":"x","b":false}|})
   in
-  check Alcotest.int "to_int" 3
-    (Option.get Option.(bind (Json.member "n" j) Json.to_int));
-  check Alcotest.int "list length" 2
-    (List.length (Option.get Option.(bind (Json.member "arr" j) Json.to_list)));
-  check Alcotest.string "to_str" "x"
-    (Option.get Option.(bind (Json.member "s" j) Json.to_str));
-  check Alcotest.bool "to_bool" false
-    (Option.get Option.(bind (Json.member "b" j) Json.to_bool));
-  check Alcotest.bool "absent member" true (Json.member "zzz" j = None)
+  let get d = Result.get_ok (D.run d j) in
+  check Alcotest.int "int" 3 (get (D.field "n" D.int));
+  check Alcotest.int "list length" 2 (List.length (get (D.field "arr" (D.list D.int))));
+  check Alcotest.string "str" "x" (get (D.field "s" D.str));
+  check Alcotest.bool "bool" false (get (D.field "b" D.bool));
+  check Alcotest.bool "absent field_opt" true (get (D.field_opt "zzz" D.int) = None)
+
+(* Errors name the path where decoding failed. *)
+let test_json_decode_paths () =
+  let module D = Json.Decode in
+  let j =
+    Result.get_ok
+      (Json.parse {|{"lives":[{"proc":1},{"proc":2},{"proc":3},{"proc":"x"}],"k":null}|})
+  in
+  let err d = match D.run ~prefix:"doc" d j with Ok _ -> "ok" | Error m -> m in
+  let procs = D.field "lives" (D.list (D.field "proc" D.int)) in
+  check Alcotest.string "wrong type names its path"
+    {|doc: field "lives[3].proc" is not an integer|} (err procs);
+  check Alcotest.string "missing field"
+    {|doc: missing field "lives[0].res"|}
+    (err (D.field "lives" (D.list (D.field "res" D.int))));
+  check Alcotest.string "index bound"
+    {|doc: field "lives[2].proc" must be in [0, 3)|}
+    (err (D.field "lives" (D.list (D.field "proc" (D.index 3)))));
+  check Alcotest.string "null is absent for field_opt" "ok"
+    (err (D.field_opt "k" D.int));
+  check Alcotest.string "null is not an int for field"
+    {|doc: field "k" is not an integer|} (err (D.field "k" D.int));
+  check Alcotest.string "enum lists the cases"
+    {|field "s" has unknown value "x" (want a|b)|}
+    (match
+       D.run (D.field "s" (D.enum [ ("a", 1); ("b", 2) ])) (Json.Obj [ ("s", Json.Str "x") ])
+     with
+    | Ok _ -> "ok"
+    | Error m -> m);
+  check Alcotest.string "top-level shape" "value is not an object"
+    (match D.run (D.field "a" D.int) (Json.Arr []) with Ok _ -> "ok" | Error m -> m);
+  check Alcotest.string "fail carries the path"
+    "lives[1]: no"
+    (match
+       D.run (D.field "lives" (D.listi (fun i _ -> if i = 1 then D.fail "no" else Ok ()))) j
+     with
+    | Ok _ -> "ok"
+    | Error m -> m)
+
+(* Json.Decode.int accepts exactly the integers a float holds exactly. *)
+let test_json_decode_int_bound () =
+  let module D = Json.Decode in
+  let int x = Result.is_ok (D.int (Json.Num x)) in
+  check Alcotest.bool "2^53 - 1" true (int 9007199254740991.);
+  check Alcotest.bool "-(2^53 - 1)" true (int (-9007199254740991.));
+  List.iter
+    (fun x -> check Alcotest.bool (Printf.sprintf "%g rejected" x) false (int x))
+    [ 1e300; -1e300; 9007199254740992.; -9007199254740992.; 1.5; Float.infinity ];
+  check Alcotest.bool "1e300 in text" true
+    (match Json.parse {|{"arrivals":1e300}|} with
+    | Ok j -> Result.is_error (D.field "arrivals" D.int j)
+    | Error _ -> false)
 
 let json_gen =
   let open QCheck.Gen in
@@ -624,5 +674,7 @@ let suite =
     loghist_brackets_exact;
     Alcotest.test_case "json parse basics" `Quick test_json_parse_basics;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
+    Alcotest.test_case "json decode paths" `Quick test_json_decode_paths;
+    Alcotest.test_case "json decode int bound" `Quick test_json_decode_int_bound;
     json_roundtrip;
   ]
